@@ -34,7 +34,6 @@ from .information import (
     per_detection_fi,
     qfi_constant,
 )
-from .kernels import BACKEND
 from .montecarlo import (
     DetectionRecord,
     DriftSpec,

@@ -51,8 +51,11 @@ def _load_config(path, seed=None) -> config_mod.RunConfig:
     except ConfigError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
     if seed is not None:
-        run = replace(run, experiment=replace(run.experiment, master_seed=seed),
-                      raw={**run.raw, "master_seed": seed})
+        try:
+            experiment = replace(run.experiment, master_seed=seed)
+        except ValueError as exc:
+            raise CliError(EXIT_CONFIG, f"--seed: {exc}") from exc
+        run = replace(run, experiment=experiment, raw={**run.raw, "master_seed": seed})
     return run
 
 
@@ -149,10 +152,13 @@ def read_records(path):
                 key = (float(row["tau_true"]), float(row["gamma"]), int(row["run"]))
                 cell = cells.setdefault(key, {"s": [None] * N_RECORDED,
                                               "a": [None] * N_RECORDED})
-                cell[row["channel"]][int(row["n"])] = int(row["counts"])
+                n = int(row["n"])
+                if not 0 <= n < N_RECORDED:
+                    raise ValueError(f"mode index n = {n} outside 0..{N_RECORDED - 1}")
+                cell[row["channel"]][n] = int(row["counts"])
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(EXIT_MISMATCH, f"{path}: malformed records file: {exc}") from exc
 
     records = []
@@ -161,23 +167,37 @@ def read_records(path):
             raise CliError(EXIT_MISMATCH,
                            f"{path}: incomplete counts for tau={tau}, gamma={gamma}, "
                            f"run={run_idx}")
-        records.append(DetectionRecord(tau, gamma, run_idx,
-                                       tuple(counts["s"]), tuple(counts["a"])))
+        try:
+            records.append(DetectionRecord(tau, gamma, run_idx,
+                                           tuple(counts["s"]), tuple(counts["a"])))
+        except ValueError as exc:
+            raise CliError(EXIT_MISMATCH,
+                           f"{path}: tau={tau}, gamma={gamma}, run={run_idx}: {exc}") from exc
     return records
 
 
-def _check_grid(records, cfg: mc.ExperimentConfig, path):
-    have = {(r.tau_true, r.gamma) for r in records}
-    want = {(t, g) for t in cfg.tau_grid for g in cfg.gammas}
-    if have != want:
+def _match_grid(records, cfg: mc.ExperimentConfig, path):
+    """The records with their grid values replaced by the config's own.
+
+    records.csv holds each tau and gamma as fmt() text, which rounds values
+    such as 1/6, so cells are matched in that form.
+    """
+    grid = {(fmt(t), fmt(g)): (t, g) for t in cfg.tau_grid for g in cfg.gammas}
+    have = {(fmt(r.tau_true), fmt(r.gamma)) for r in records}
+    if have != grid.keys():
         raise CliError(EXIT_MISMATCH,
                        f"{path}: records grid does not match config "
-                       f"(records: {len(have)} cells, config: {len(want)})")
-    runs_per_cell = len(records) / max(len(want), 1)
+                       f"(records: {len(have)} cells, config: {len(grid)})")
+    runs_per_cell = len(records) / max(len(grid), 1)
     if runs_per_cell != cfg.repetitions:
         raise CliError(EXIT_MISMATCH,
                        f"{path}: {runs_per_cell} runs per cell, config expects "
                        f"{cfg.repetitions}")
+    matched = []
+    for r in records:
+        tau, gamma = grid[fmt(r.tau_true), fmt(r.gamma)]
+        matched.append(replace(r, tau_true=tau, gamma=gamma))
+    return matched
 
 
 def _stats_rows(stats):
@@ -194,8 +214,7 @@ def cmd_estimate(args):
     run = _load_config(args.config, args.seed)
     cfg = run.experiment
     out = _out_dir(args)
-    records = read_records(args.records)
-    _check_grid(records, cfg, args.records)
+    records = _match_grid(read_records(args.records), cfg, args.records)
 
     result = pipeline.run_pipeline(
         cfg, records=records,

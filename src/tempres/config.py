@@ -55,6 +55,14 @@ def _merge(defaults, data, path):
     return merged
 
 
+def _integer(value, key):
+    """A JSON integer; an integral float such as 3.0 also counts."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def from_dict(data: dict) -> RunConfig:
     merged = _merge(DEFAULTS, data, "")
     try:
@@ -63,25 +71,31 @@ def from_dict(data: dict) -> RunConfig:
             drift_merged = _merge({"std": 0.0, "recenter_period": 10},
                                   merged["drift"], "drift.")
             drift = DriftSpec(std=float(drift_merged["std"]),
-                              recenter_period=int(drift_merged["recenter_period"]))
+                              recenter_period=_integer(drift_merged["recenter_period"],
+                                                       "drift.recenter_period"))
             merged["drift"] = drift_merged
         experiment = ExperimentConfig(
-            spec=PulseSpec(sigma_t=1.0, mode_cutoff=int(merged["mode_cutoff"])),
+            spec=PulseSpec(sigma_t=1.0,
+                           mode_cutoff=_integer(merged["mode_cutoff"], "mode_cutoff")),
             tau_grid=tuple(float(t) for t in merged["tau_grid"]),
             gammas=tuple(float(g) for g in merged["gammas"]),
-            repetitions=int(merged["repetitions"]),
+            repetitions=_integer(merged["repetitions"], "repetitions"),
             mean_total_detections=float(merged["mean_total_detections"]),
             device=DeviceModel(
                 crosstalk_eps=float(merged["device"]["crosstalk_eps"]),
                 efficiency=float(merged["device"]["efficiency"]),
                 dark_rate=float(merged["device"]["dark_rate"])),
             drift=drift,
-            master_seed=int(merged["master_seed"]),
+            master_seed=_integer(merged["master_seed"], "master_seed"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     cal = merged["calibration"]
-    cal_reps = None if cal["repetitions"] is None else int(cal["repetitions"])
+    cal_reps = cal["repetitions"]
+    if cal_reps is not None:
+        cal_reps = _integer(cal_reps, "calibration.repetitions")
+        if cal_reps < 1:
+            raise ConfigError(f"calibration.repetitions must be >= 1, got {cal_reps}")
     return RunConfig(experiment=experiment,
                      calibration_repetitions=cal_reps,
                      reuse_records_for_calibration=bool(cal["reuse_records"]),

@@ -18,7 +18,7 @@ from .montecarlo import N_RECORDED, DetectionRecord, ExperimentConfig, detection
 
 POLY_DEGREE = 4
 SCAN_POINTS = 1001
-DEFAULT_TAU_MAX = 2.0
+SCAN_TAU_MAX = 2.0      # upper end of the GLS scan, in units of sigma_t
 
 # fresh random streams for self-calibration runs, disjoint from estimation data
 CALIBRATION_SEED_OFFSET = 0x9E3779B97F4A7C15
@@ -76,7 +76,7 @@ def record_components(record: DetectionRecord, mean_total_detections: float) -> 
 
 
 def calibrate(records, gamma: float, config: ExperimentConfig,
-              tau_max: float = DEFAULT_TAU_MAX) -> CalibrationModel:
+              tau_max: float = SCAN_TAU_MAX) -> CalibrationModel:
     """Fit the mean response of each (channel, projection) with a quartic in tau.
 
     records must carry known true separations for the given gamma; at least

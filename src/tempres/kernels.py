@@ -1,23 +1,18 @@
-"""Backend selection for the estimation hot loop.
+"""Weighted least-squares scan kernel: the inner loop of the GLS estimator."""
 
-The compiled extension is preferred when it built; TEMPRES_PURE_PYTHON=1
-forces the numpy fallback (the two are compared in tests and in
-benchmarks/bench_gls.py).
-"""
+import numpy as np
 
-import os
 
-from . import _gls_numpy
+def weighted_scan(counts, weights, model):
+    """Objective sum_k w_k (c_k - m_k(tau_j))^2 for every scan point j.
 
-if os.environ.get("TEMPRES_PURE_PYTHON") == "1":
-    weighted_scan = _gls_numpy.weighted_scan
-    BACKEND = "python"
-else:
-    try:
-        from . import _gls_core
-
-        weighted_scan = _gls_core.weighted_scan
-        BACKEND = "cython"
-    except ImportError:
-        weighted_scan = _gls_numpy.weighted_scan
-        BACKEND = "python"
+    counts:  (K,) normalized counts
+    weights: (K,) inverse variances
+    model:   (J, K) calibrated mean response at each scan point
+    returns: (J,) objective values
+    """
+    counts = np.asarray(counts, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    model = np.asarray(model, dtype=float)
+    resid = counts[None, :] - model
+    return np.einsum("jk,k->j", resid * resid, weights)

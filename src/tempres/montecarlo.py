@@ -3,11 +3,9 @@
 Each projection setting is measured sequentially in the experiment, so counts
 are independent Poisson draws per (channel, mode).  Random streams are derived
 counter-style from the master seed and the full cell coordinates, which makes
-every record independent of evaluation order and safe to produce in parallel.
+every record independent of evaluation order.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +13,7 @@ import numpy as np
 from .channels import (
     DeviceModel,
     apply_device,
+    check_gamma,
     hg_projection_probs,
     mixed_projection_probs,
     quadrature_projection_probs,
@@ -58,13 +57,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
+        object.__setattr__(self, "gammas", tuple(check_gamma(float(g)) for g in self.gammas))
         if any(t < 0 for t in self.tau_grid):
             raise ValueError("tau_grid values must be >= 0")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.mean_total_detections > 0:
             raise ValueError("mean_total_detections must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -143,35 +144,9 @@ def sample_run(config: ExperimentConfig, tau_index: int, gamma_index: int,
     return DetectionRecord(tau, gamma, run_index, counts[0], counts[1])
 
 
-def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int):
-    return [sample_run(config, tau_index, gamma_index, r)
+def run_experiment(config: ExperimentConfig):
+    """All records over the full tau x gamma x repetition grid, in grid order."""
+    return [sample_run(config, ti, gi, r)
+            for ti in range(len(config.tau_grid))
+            for gi in range(len(config.gammas))
             for r in range(config.repetitions)]
-
-
-def worker_count() -> int:
-    """Worker cap from TEMPRES_THREADS; defaults to single-threaded orchestration."""
-    raw = os.environ.get("TEMPRES_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
-def run_experiment(config: ExperimentConfig, threads: int | None = None):
-    """All records over the full tau x gamma x repetition grid.
-
-    Output ordering and content are identical whatever the worker count,
-    because every run draws from its own counter-derived stream.
-    """
-    cells = [(ti, gi) for ti in range(len(config.tau_grid))
-             for gi in range(len(config.gammas))]
-    workers = worker_count() if threads is None else max(threads, 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda c: _sample_cell(config, *c), cells))
-    else:
-        chunks = [_sample_cell(config, *c) for c in cells]
-    records = []
-    for chunk in chunks:
-        records.extend(chunk)
-    return records

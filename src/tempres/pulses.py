@@ -12,7 +12,7 @@ import numpy as np
 
 GRID_HALF_WIDTH = 12.0   # in units of sigma_t, before the tau_max margin
 GRID_POINTS = 4096
-DEFAULT_TAU_MAX = 4.0
+GRID_TAU_MARGIN = 4.0   # largest separation the standard grid covers
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class WaveformSamples:
         return float(np.trapezoid(np.abs(self.values) ** 2, self.grid))
 
 
-def make_grid(spec: PulseSpec, tau_max: float = DEFAULT_TAU_MAX,
+def make_grid(spec: PulseSpec, tau_max: float = GRID_TAU_MARGIN,
               points: int = GRID_POINTS) -> np.ndarray:
     """Standard quadrature grid covering every shifted pulse used in a study."""
     half = GRID_HALF_WIDTH * spec.sigma_t + tau_max

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from tempres import PulseSpec, make_grid
@@ -18,8 +17,3 @@ def wide_spec():
 @pytest.fixture(scope="session")
 def grid(spec):
     return make_grid(spec)
-
-
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20240817)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tempres
 from tempres import (
     DeviceModel,
     apply_device,
@@ -81,6 +86,31 @@ def test_mode_weight_is_poisson(spec):
     n = np.arange(8)
     expected = np.exp(-x) * x**n / np.array([math.factorial(k) for k in n])
     np.testing.assert_allclose(mode_weight(spec, tau, n), expected, rtol=1e-12)
+
+
+def test_mode_weight_reproduces_scipy_poisson_pmf(wide_spec):
+    stats = pytest.importorskip("scipy.stats")
+    n = np.arange(wide_spec.mode_cutoff)
+    taus = np.concatenate([np.arange(7) / 6.0, np.linspace(0.0, 8.0, 401),
+                           np.random.default_rng(5).uniform(0.0, 8.0, 400)])
+    for tau in taus:
+        got = mode_weight(wide_spec, tau, n)
+        want = stats.poisson.pmf(n, tau**2 / 16.0)
+        np.testing.assert_array_equal(got[:13], want[:13])
+        np.testing.assert_allclose(got[13:], want[13:], rtol=1e-13, atol=0.0)
+    # broadcast over an array of separations at one mode index
+    np.testing.assert_array_equal(mode_weight(wide_spec, taus, 3),
+                                  stats.poisson.pmf(3, taus**2 / 16.0))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(tempres.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, tempres; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])

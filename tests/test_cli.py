@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from tempres import config as config_mod
-from tempres.cli import main, read_records
+from tempres.cli import CliError, main, read_records
 from tempres.config import ConfigError
 
 SMALL = {
@@ -73,6 +74,29 @@ def test_bad_config_exit_code(tmp_path, capsys):
     code = main(["fisher", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"gammas": [0.7]}, "0.7"),
+    ({"repetitions": True}, "repetitions"),
+    ({"repetitions": 2.7}, "repetitions"),
+    ({"repetitions": "3"}, "repetitions"),
+    ({"master_seed": 1.5}, "master_seed"),
+    ({"master_seed": False}, "master_seed"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"mode_cutoff": "8"}, "mode_cutoff"),
+    ({"drift": {"std": 0.05, "recenter_period": True}}, "recenter_period"),
+    ({"drift": {"std": 0.05, "recenter_period": 2.5}}, "recenter_period"),
+    ({"calibration": {"repetitions": 2.7}}, "calibration.repetitions"),
+    ({"calibration": {"repetitions": "4"}}, "calibration.repetitions"),
+    ({"calibration": {"repetitions": 0}}, "calibration.repetitions"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, data, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["fisher", "--config", str(path), "--out", str(tmp_path / "f")])
+    assert code == 2
+    assert key in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- fisher
@@ -172,6 +196,43 @@ def test_estimate_missing_records(tmp_path, small_config):
     assert code == 3
 
 
+@pytest.mark.parametrize("column, value", [
+    ("counts", "-3"), ("counts", "2.5"), ("n", "-1"), ("n", "4"),
+])
+def test_bad_records_value_is_a_mismatch(tmp_path, column, value):
+    header = ["tau_true", "gamma", "run", "channel", "n", "counts"]
+    rows = [["0.5", "0", "0", ch, str(n), "7"] for ch in "sa" for n in range(4)]
+    rows[3][header.index(column)] = value
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    with pytest.raises(CliError) as exc:
+        read_records(path)
+    assert exc.value.code == 4
+
+
+@pytest.mark.parametrize("data", [
+    {"repetitions": 2},
+    {"repetitions": 2, "gammas": [0.0, 0.123456789012345, 0.5],
+     "calibration": {"reuse_records": True}},
+])
+def test_round_trip_on_grids_that_records_csv_rounds(tmp_path, data):
+    # the default tau grid holds sixths, which records.csv stores rounded
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    sim, est = tmp_path / "sim", tmp_path / "est"
+    assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+    assert main(["estimate", str(sim / "records.csv"),
+                 "--config", str(config), "--out", str(est)]) == 0
+    stats = read_csv(est / "stats.csv")[1:]
+    assert len(stats) == 7 * len(data.get("gammas", range(5)))
+    assert {row[0] for row in stats} == {f"{i / 6:.12g}" for i in range(7)}
+
+
+def test_negative_seed_flag_exit_2(tmp_path, capsys):
+    assert main(["fisher", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "master_seed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- reproduce
 
 def test_reproduce_fig3_series(tmp_path, small_config):
@@ -216,3 +277,25 @@ def test_reproduce_unknown_figure(tmp_path, small_config):
     with pytest.raises(SystemExit):
         main(["reproduce", "fig9", "--config", str(small_config),
               "--out", str(tmp_path)])
+
+
+# ------------------------------------------------------------- golden
+
+TINY = {"tau_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "gammas": [0.0, 0.5],
+        "repetitions": 3, "master_seed": 7}
+
+
+@pytest.mark.parametrize("argv, name, sha256", [
+    (["simulate"], "records.csv",
+     "98495d996dc47280b9e9d61984adcaaa88fe7d803d572fd29fd3e129cad30e79"),
+    (["reproduce", "fig2"], "fig2.csv",
+     "08a6a01d8f8e7ecc87681037e62252b1b60a5099443749987dafc7390686dddf"),
+])
+def test_golden_output_digest(tmp_path, argv, name, sha256):
+    # a changed digest means the sampling streams or the estimator arithmetic
+    # moved: make that change on purpose and record the new digest with it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256

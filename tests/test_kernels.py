@@ -1,40 +1,11 @@
 import numpy as np
-import pytest
 
 from tempres import kernels
-from tempres import _gls_numpy
-
-
-def random_problem(rng, n_scan=257, n_comp=8):
-    counts = rng.random(n_comp)
-    weights = rng.random(n_comp) * 100 + 1
-    model = rng.random((n_scan, n_comp))
-    return counts, weights, model
-
-
-def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "python")
 
 
 def test_numpy_kernel_known_value():
     counts = np.array([1.0, 0.0])
     weights = np.array([2.0, 1.0])
     model = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = _gls_numpy.weighted_scan(counts, weights, model)
+    out = kernels.weighted_scan(counts, weights, model)
     np.testing.assert_allclose(out, [0.0, 3.0])
-
-
-def test_backends_agree(rng):
-    compiled = pytest.importorskip("tempres._gls_core")
-    for _ in range(20):
-        counts, weights, model = random_problem(rng)
-        np.testing.assert_allclose(
-            compiled.weighted_scan(counts, weights, model),
-            _gls_numpy.weighted_scan(counts, weights, model),
-            rtol=1e-12)
-
-
-def test_compiled_kernel_shape_check():
-    compiled = pytest.importorskip("tempres._gls_core")
-    with pytest.raises(ValueError):
-        compiled.weighted_scan(np.zeros(3), np.zeros(2), np.zeros((5, 3)))

@@ -29,9 +29,14 @@ def test_different_seed_differs():
     assert a != b
 
 
-def test_parallel_matches_sequential():
-    cfg = small_config(repetitions=10)
-    assert run_experiment(cfg, threads=4) == run_experiment(cfg, threads=1)
+def test_sample_run_is_independent_of_evaluation_order():
+    cfg = small_config(repetitions=4, drift=DriftSpec(std=0.05, recenter_period=3))
+    records = run_experiment(cfg)
+    triples = [(ti, gi, run) for ti in range(len(cfg.tau_grid))
+               for gi in range(len(cfg.gammas)) for run in range(cfg.repetitions)]
+    order = np.random.default_rng(11).permutation(len(triples))
+    assert ([sample_run(cfg, *triples[k]) for k in order]
+            == [records[k] for k in order])
 
 
 def test_coherent_tau_zero_counts():
