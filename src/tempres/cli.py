@@ -59,6 +59,17 @@ def _load_config(path, seed=None) -> config_mod.RunConfig:
     return run
 
 
+def _load_calibrated_config(args) -> config_mod.RunConfig:
+    """The config of a command that calibrates, which needs enough distinct taus."""
+    run = _load_config(args.config, args.seed)
+    distinct = len(set(run.experiment.tau_grid))
+    if distinct <= est.POLY_DEGREE:
+        raise CliError(EXIT_CONFIG,
+                       f"tau_grid needs more than {est.POLY_DEGREE} distinct values "
+                       f"for the degree-{est.POLY_DEGREE} calibration, got {distinct}")
+    return run
+
+
 def _write_csv(path: Path, header, rows):
     try:
         with open(path, "w", newline="") as fh:
@@ -120,6 +131,9 @@ def cmd_fisher(args):
     return 0
 
 
+RECORDS_HEADER = ["tau_true", "gamma", "run", "channel", "n", "counts"]
+
+
 def _records_rows(records):
     for r in records:
         for channel, counts in (("s", r.counts_s), ("a", r.counts_a)):
@@ -131,9 +145,7 @@ def cmd_simulate(args):
     run = _load_config(args.config, args.seed)
     out = _out_dir(args)
     records = mc.run_experiment(run.experiment)
-    _write_csv(out / "records.csv",
-               ["tau_true", "gamma", "run", "channel", "n", "counts"],
-               _records_rows(records))
+    _write_csv(out / "records.csv", RECORDS_HEADER, _records_rows(records))
     _write_manifest(out, run, ["records.csv"])
     return 0
 
@@ -143,22 +155,28 @@ def read_records(path):
     cells = {}
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = ["tau_true", "gamma", "run", "channel", "n", "counts"]
-            if reader.fieldnames != expected:
-                raise CliError(EXIT_MISMATCH,
-                               f"{path}: unexpected header {reader.fieldnames}")
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != RECORDS_HEADER:
+                raise CliError(EXIT_MISMATCH, f"{path}: unexpected header {header}")
             for row in reader:
-                key = (float(row["tau_true"]), float(row["gamma"]), int(row["run"]))
+                if not row:
+                    continue
+                tau, gamma, run_idx, channel, n, count = row
+                key = (float(tau), float(gamma), int(run_idx))
                 cell = cells.setdefault(key, {"s": [None] * N_RECORDED,
                                               "a": [None] * N_RECORDED})
-                n = int(row["n"])
+                n = int(n)
                 if not 0 <= n < N_RECORDED:
                     raise ValueError(f"mode index n = {n} outside 0..{N_RECORDED - 1}")
-                cell[row["channel"]][n] = int(row["counts"])
+                counts = cell[channel]
+                if counts[n] is not None:
+                    raise ValueError(f"repeated row for tau={tau}, gamma={gamma}, "
+                                     f"run={run_idx}, channel={channel}, n={n}")
+                counts[n] = int(count)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, csv.Error) as exc:
         raise CliError(EXIT_MISMATCH, f"{path}: malformed records file: {exc}") from exc
 
     records = []
@@ -211,7 +229,7 @@ STATS_HEADER = ["tau_true", "gamma", "n_runs", "mean", "variance", "bias",
 
 
 def cmd_estimate(args):
-    run = _load_config(args.config, args.seed)
+    run = _load_calibrated_config(args)
     cfg = run.experiment
     out = _out_dir(args)
     records = _match_grid(read_records(args.records), cfg, args.records)
@@ -237,7 +255,6 @@ def _bound_series(cfg: mc.ExperimentConfig):
     from .information import intensity_fi, qfi_constant
 
     q = qfi_constant(cfg.spec)
-    qcrb = [(tau, 1.0 / q) for tau in cfg.tau_grid]
     int_crb = []
     for tau in cfg.tau_grid:
         if tau <= 0:
@@ -245,7 +262,8 @@ def _bound_series(cfg: mc.ExperimentConfig):
         fi = intensity_fi(lambda t: incoherent_intensity_profile(cfg.spec, t), tau)
         if fi > 0:
             int_crb.append((tau, 1.0 / fi))
-    return qcrb, int_crb
+    return {"qcrb": [(tau, 1.0 / q) for tau in cfg.tau_grid],
+            "intensity_crb": int_crb}
 
 
 def _figure_pipeline(run: config_mod.RunConfig, gammas):
@@ -255,7 +273,7 @@ def _figure_pipeline(run: config_mod.RunConfig, gammas):
 
 
 def cmd_reproduce(args):
-    run = _load_config(args.config, args.seed)
+    run = _load_calibrated_config(args)
     out = _out_dir(args)
     figure = args.figure
 
@@ -265,63 +283,42 @@ def cmd_reproduce(args):
                  None if s.variance is None else s.variance**0.5]
                 for s in result.stats]
         _write_csv(out / "fig2.csv", ["tau_true", "gamma", "mean", "std"], rows)
-        series = {}
-        for gamma in cfg.gammas:
-            pts = [(s.tau_true, s.mean) for s in result.stats if s.gamma == gamma]
-            series[f"gamma={gamma:g}"] = tuple(zip(*pts))
-        series["truth"] = (cfg.tau_grid, cfg.tau_grid)
-        svg_args = dict(series=series, title="Estimated vs true separation",
+        series = {f"gamma={gamma:g}": [(s.tau_true, s.mean) for s in result.stats
+                                       if s.gamma == gamma]
+                  for gamma in cfg.gammas}
+        series["truth"] = list(zip(cfg.tau_grid, cfg.tau_grid))
+        svg_args = dict(title="Estimated vs true separation",
                         xlabel="true tau / sigma_t", ylabel="mean estimate")
-    elif figure == "fig3":
-        cfg, result = _figure_pipeline(run, (0.5, 0.375, 0.25, 0.125, 0.0))
-        qcrb, int_crb = _bound_series(cfg)
-        rows = []
-        series = {}
-        for gamma in cfg.gammas:
-            pts = [(s.tau_true, s.variance_per_detection) for s in result.stats
-                   if s.gamma == gamma and s.variance_per_detection is not None]
-            name = f"gamma={gamma:g}"
-            rows += [[name, tau, v] for tau, v in pts]
-            series[name] = tuple(zip(*pts))
-        rows += [["qcrb", tau, v] for tau, v in qcrb]
-        rows += [["intensity_crb", tau, v] for tau, v in int_crb]
-        series["qcrb"] = tuple(zip(*qcrb))
-        series["intensity_crb"] = tuple(zip(*int_crb))
-        _write_csv(out / "fig3.csv", ["series", "tau", "value"], rows)
-        svg_args = dict(series=series, title="Estimator variance per detection",
-                        xlabel="tau / sigma_t", ylabel="variance per detection",
-                        ylog=True)
-    elif figure == "fig4":
-        cfg, result = _figure_pipeline(run, (0.0,))
-        qcrb, int_crb = _bound_series(cfg)
-        per_total, per_a = [], []
-        for s in result.stats:
-            if s.variance is None:
-                continue
-            n_total, n_a = est.expected_detections(cfg, s.tau_true, s.gamma)
-            per_total.append((s.tau_true, s.variance * n_total))
-            if n_a > 0:
-                per_a.append((s.tau_true, s.variance * n_a))
-        rows = ([["per_total_detection", tau, v] for tau, v in per_total]
-                + [["per_a_detection", tau, v] for tau, v in per_a]
-                + [["qcrb", tau, v] for tau, v in qcrb]
-                + [["intensity_crb", tau, v] for tau, v in int_crb])
-        _write_csv(out / "fig4.csv", ["series", "tau", "value"], rows)
-        series = {"per_total_detection": tuple(zip(*per_total)),
-                  "per_a_detection": tuple(zip(*per_a)),
-                  "qcrb": tuple(zip(*qcrb)),
-                  "intensity_crb": tuple(zip(*int_crb))}
-        svg_args = dict(series=series,
-                        title="Coherent estimation error per detection",
-                        xlabel="tau / sigma_t", ylabel="variance per detection",
-                        ylog=True)
     else:
-        raise CliError(EXIT_CONFIG, f"unknown figure id {figure!r}")
+        if figure == "fig3":
+            cfg, result = _figure_pipeline(run, (0.5, 0.375, 0.25, 0.125, 0.0))
+            series = {f"gamma={gamma:g}": [(s.tau_true, s.variance_per_detection)
+                                           for s in result.stats if s.gamma == gamma
+                                           and s.variance_per_detection is not None]
+                      for gamma in cfg.gammas}
+            title = "Estimator variance per detection"
+        else:
+            cfg, result = _figure_pipeline(run, (0.0,))
+            measured = [s for s in result.stats if s.variance is not None]
+            per_a = []
+            for s in measured:
+                _, n_a = est.expected_detections(cfg, s.tau_true, s.gamma)
+                if n_a > 0:
+                    per_a.append((s.tau_true, s.variance * n_a))
+            series = {"per_total_detection": [(s.tau_true, s.variance_per_detection)
+                                              for s in measured],
+                      "per_a_detection": per_a}
+            title = "Coherent estimation error per detection"
+        series.update(_bound_series(cfg))
+        _write_csv(out / f"{figure}.csv", ["series", "tau", "value"],
+                   ([name, tau, v] for name, pts in series.items() for tau, v in pts))
+        svg_args = dict(title=title, xlabel="tau / sigma_t",
+                        ylabel="variance per detection", ylog=True)
 
     outputs = [f"{figure}.csv"]
     if args.svg:
         try:
-            svgplot.write_svg(out / f"{figure}.svg", **svg_args)
+            svgplot.write_svg(out / f"{figure}.svg", series, **svg_args)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot write SVG: {exc}") from exc
         outputs.append(f"{figure}.svg")

@@ -5,7 +5,7 @@ width is fixed to 1), so tau values and drift magnitudes are dimensionless.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .channels import DeviceModel
 from .montecarlo import DriftSpec, ExperimentConfig
@@ -16,17 +16,20 @@ class ConfigError(ValueError):
     pass
 
 
+_EXPERIMENT = ExperimentConfig()
+
 DEFAULTS = {
-    "mode_cutoff": 8,
-    "tau_grid": [i / 6.0 for i in range(7)],
-    "gammas": [0.0, 0.125, 0.25, 0.375, 0.5],
-    "repetitions": 100,
-    "mean_total_detections": 1e4,
-    "master_seed": 0,
-    "device": {"crosstalk_eps": 0.0, "efficiency": 1.0, "dark_rate": 0.0},
-    "drift": None,           # or {"std": ..., "recenter_period": 10}
+    "mode_cutoff": _EXPERIMENT.spec.mode_cutoff,
+    "tau_grid": list(_EXPERIMENT.tau_grid),
+    "gammas": list(_EXPERIMENT.gammas),
+    "repetitions": _EXPERIMENT.repetitions,
+    "mean_total_detections": _EXPERIMENT.mean_total_detections,
+    "master_seed": _EXPERIMENT.master_seed,
+    "device": asdict(_EXPERIMENT.device),
+    "drift": None,           # or an object merged over _DRIFT_DEFAULTS
     "calibration": {"repetitions": None, "reuse_records": False},
 }
+_DRIFT_DEFAULTS = {"std": 0.0, "recenter_period": DriftSpec.recenter_period}
 
 
 @dataclass(frozen=True)
@@ -39,14 +42,15 @@ class RunConfig:
 
 def _merge(defaults, data, path):
     if not isinstance(data, dict):
-        raise ConfigError(f"config section {path or 'top level'} must be an object")
+        section = path.rstrip(".") or "top level"
+        raise ConfigError(f"config section {section} must be an object")
     unknown = set(data) - set(defaults)
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(f"unknown config key {path}{key!r}")
     merged = {}
     for key, default in defaults.items():
-        if key in data and isinstance(default, dict) and data[key] is not None:
+        if key in data and isinstance(default, dict):
             merged[key] = _merge(default, data[key], f"{path}{key}.")
         elif key in data:
             merged[key] = data[key]
@@ -68,8 +72,7 @@ def from_dict(data: dict) -> RunConfig:
     try:
         drift = None
         if merged["drift"] is not None:
-            drift_merged = _merge({"std": 0.0, "recenter_period": 10},
-                                  merged["drift"], "drift.")
+            drift_merged = _merge(_DRIFT_DEFAULTS, merged["drift"], "drift.")
             drift = DriftSpec(std=float(drift_merged["std"]),
                               recenter_period=_integer(drift_merged["recenter_period"],
                                                        "drift.recenter_period"))

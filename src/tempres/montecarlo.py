@@ -6,6 +6,7 @@ counter-style from the master seed and the full cell coordinates, which makes
 every record independent of evaluation order.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,15 +19,24 @@ from .channels import (
     mixed_projection_probs,
     quadrature_projection_probs,
 )
-from .pulses import PulseSpec
+from .pulses import GRID_TAU_MARGIN, PulseSpec
 
 N_RECORDED = 4   # projections n = 0..3 enter the records, as in the estimator
+
+# mode_cutoff covers at least the recorded projections.  HG_n oscillates out to
+# t = 2 sqrt(n + 1/2) sigma_t, inside the standard quadrature grid (+-16 sigma_t)
+# up to n = 63
+MAX_MODE_CUTOFF = 64
+
+# numpy's Poisson sampler rejects means above about 9.2e18; a draw's mean is at
+# most mean_total_detections + dark_rate
+MAX_POISSON_MEAN = 1e18
 
 # spawn-key tags keep count streams and drift streams disjoint
 _COUNT_STREAM = 0
 _DRIFT_STREAM = 1
 
-DEFAULT_TAU_GRID = tuple(np.linspace(0.0, 1.0, 7))
+DEFAULT_TAU_GRID = tuple(i / 6.0 for i in range(7))
 DEFAULT_GAMMAS = (0.0, 0.125, 0.25, 0.375, 0.5)
 
 
@@ -38,8 +48,8 @@ class DriftSpec:
     recenter_period: int = 10
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError(f"drift std must be >= 0, got {self.std}")
+        if not 0 <= self.std < math.inf:
+            raise ValueError(f"drift std must be finite and >= 0, got {self.std}")
         if self.recenter_period < 1:
             raise ValueError(f"recenter period must be >= 1, got {self.recenter_period}")
 
@@ -58,12 +68,25 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         object.__setattr__(self, "gammas", tuple(check_gamma(float(g)) for g in self.gammas))
-        if any(t < 0 for t in self.tau_grid):
-            raise ValueError("tau_grid values must be >= 0")
+        outside = [t for t in self.tau_grid if not 0 <= t <= GRID_TAU_MARGIN]
+        if outside:
+            raise ValueError(f"tau_grid values must lie in [0, {GRID_TAU_MARGIN:g}], the "
+                             f"separations the quadrature grid covers, got {outside[0]}")
+        if not N_RECORDED <= self.spec.mode_cutoff <= MAX_MODE_CUTOFF:
+            raise ValueError(f"mode_cutoff must lie in [{N_RECORDED}, {MAX_MODE_CUTOFF}], "
+                             f"got {self.spec.mode_cutoff}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not self.mean_total_detections > 0:
-            raise ValueError("mean_total_detections must be positive")
+        if not 0 < self.mean_total_detections <= MAX_POISSON_MEAN:
+            raise ValueError(f"mean_total_detections must lie in (0, {MAX_POISSON_MEAN:g}], "
+                             f"got {self.mean_total_detections}")
+        if not self.device.dark_rate <= MAX_POISSON_MEAN:
+            raise ValueError(f"dark_rate must be at most {MAX_POISSON_MEAN:g}, "
+                             f"got {self.device.dark_rate}")
+        if math.isinf(self.device.dark_rate / self.mean_total_detections):
+            # detection rates carry the dark rate in units of mean_total_detections
+            raise ValueError(f"dark_rate {self.device.dark_rate} overflows in units of "
+                             f"mean_total_detections {self.mean_total_detections}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 

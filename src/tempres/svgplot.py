@@ -31,12 +31,13 @@ def _ticks(lo, hi, n=6):
 def write_svg(path, series, title="", xlabel="", ylabel="", ylog=False):
     """Write one line plot.
 
-    series: mapping name -> (xs, ys); non-finite points are dropped; with
-    ylog=True the y axis is log10 and nonpositive values are dropped too.
+    series: mapping name -> list of (x, y) points; non-finite points and empty
+    series are dropped; with ylog=True the y axis is log10 and nonpositive
+    values are dropped too.
     """
     cleaned = {}
-    for name, (xs, ys) in series.items():
-        pts = [(x, y) for x, y in zip(xs, ys)
+    for name, points in series.items():
+        pts = [(x, y) for x, y in points
                if math.isfinite(x) and math.isfinite(y) and (not ylog or y > 0)]
         if pts:
             cleaned[name] = pts

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tempres import ExperimentConfig
 from tempres import config as config_mod
 from tempres.cli import CliError, main, read_records
 from tempres.config import ConfigError
@@ -38,6 +39,10 @@ def test_config_defaults():
     assert len(run.experiment.tau_grid) == 7
     assert run.experiment.gammas == (0.0, 0.125, 0.25, 0.375, 0.5)
     assert run.experiment.mean_total_detections == 1e4
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    assert config_mod.from_dict({}).experiment == ExperimentConfig()
 
 
 def test_config_unknown_key(tmp_path):
@@ -90,10 +95,21 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"calibration": {"repetitions": 2.7}}, "calibration.repetitions"),
     ({"calibration": {"repetitions": "4"}}, "calibration.repetitions"),
     ({"calibration": {"repetitions": 0}}, "calibration.repetitions"),
+    ({"mode_cutoff": 2}, "mode_cutoff"),
+    ({"mode_cutoff": 3}, "mode_cutoff"),
+    ({"tau_grid": [0.0, 0.25, 0.5, 0.75, "nan"]}, "tau_grid"),
+    ({"tau_grid": [0.0, 0.25, 0.5, 0.75, 1e200]}, "tau_grid"),
+    ({"drift": {"std": "nan"}}, "drift std"),
+    pytest.param('{"mean_total_detections": 1e400}', "mean_total_detections",
+                 id="1e400-mean_total_detections"),
+    ({"mean_total_detections": 1e300}, "mean_total_detections"),
+    ({"device": {"dark_rate": "inf"}}, "dark_rate"),
+    ({"mean_total_detections": 5e-324, "device": {"dark_rate": 1.0}}, "dark_rate"),
+    ({"calibration": None}, "calibration"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code = main(["fisher", "--config", str(path), "--out", str(tmp_path / "f")])
     assert code == 2
     assert key in capsys.readouterr().err
@@ -198,11 +214,17 @@ def test_estimate_missing_records(tmp_path, small_config):
 
 @pytest.mark.parametrize("column, value", [
     ("counts", "-3"), ("counts", "2.5"), ("n", "-1"), ("n", "4"),
+    # column None: the row value is added after the eight valid rows
+    pytest.param(None, "0.0,0.0,0", id="short-row"),
+    pytest.param(None, "0.5,0,0,s,3,999999", id="repeated-row"),
 ])
 def test_bad_records_value_is_a_mismatch(tmp_path, column, value):
     header = ["tau_true", "gamma", "run", "channel", "n", "counts"]
     rows = [["0.5", "0", "0", ch, str(n), "7"] for ch in "sa" for n in range(4)]
-    rows[3][header.index(column)] = value
+    if column is None:
+        rows.append(value.split(","))
+    else:
+        rows[3][header.index(column)] = value
     path = tmp_path / "records.csv"
     path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
     with pytest.raises(CliError) as exc:
@@ -226,6 +248,27 @@ def test_round_trip_on_grids_that_records_csv_rounds(tmp_path, data):
     stats = read_csv(est / "stats.csv")[1:]
     assert len(stats) == 7 * len(data.get("gammas", range(5)))
     assert {row[0] for row in stats} == {f"{i / 6:.12g}" for i in range(7)}
+
+
+def test_blank_lines_in_records_are_skipped(tmp_path):
+    rows = [f"0.5,0,0,{ch},{n},7" for ch in "sa" for n in range(4)]
+    path = tmp_path / "records.csv"
+    path.write_text("tau_true,gamma,run,channel,n,counts\n\n" + "\n\n".join(rows) + "\n\n")
+    [record] = read_records(path)
+    assert record.counts_s == record.counts_a == (7, 7, 7, 7)
+
+
+@pytest.mark.parametrize("argv", [["estimate", "records.csv"], ["reproduce", "fig2"]])
+def test_short_tau_grid_exits_2_where_calibration_needs_it(tmp_path, capsys, argv):
+    # the quartic calibration needs five distinct taus; 0.5 twice counts once
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tau_grid": [0.0, 0.25, 0.5, 0.5, 1.0],
+                                  "repetitions": 2}))
+    args = ["--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv + args) == 2
+    assert "tau_grid" in capsys.readouterr().err
+    for command in ("simulate", "fisher"):
+        assert main([command] + args) == 0
 
 
 def test_negative_seed_flag_exit_2(tmp_path, capsys):
@@ -260,6 +303,18 @@ def test_reproduce_fig4_resource_counting(tmp_path, small_config):
     qcrb = values["qcrb"][smallest]
     assert values["per_a_detection"][smallest] < qcrb
     assert values["per_total_detection"][smallest] > values["per_a_detection"][smallest]
+
+
+@pytest.mark.parametrize("figure", ["fig3", "fig4"])
+def test_reproduce_svg_with_one_repetition(tmp_path, figure):
+    # one run per cell gives no variance, so only the bound series have points
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL, "repetitions": 1}))
+    out = tmp_path / figure
+    assert main(["reproduce", figure, "--config", str(config), "--svg",
+                 "--out", str(out)]) == 0
+    assert {r[0] for r in read_csv(out / f"{figure}.csv")[1:]} == {"qcrb", "intensity_crb"}
+    assert (out / f"{figure}.svg").read_text().startswith("<svg")
 
 
 def test_reproduce_fig2_tracks_diagonal(tmp_path, small_config):
