@@ -340,17 +340,33 @@ TINY = {"tau_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "gammas": [0.0, 0.5],
         "repetitions": 3, "master_seed": 7}
 
 
+def output_digest(tmp_path, argv, data, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
+    return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("argv, name, sha256", [
     (["simulate"], "records.csv",
      "98495d996dc47280b9e9d61984adcaaa88fe7d803d572fd29fd3e129cad30e79"),
     (["reproduce", "fig2"], "fig2.csv",
      "08a6a01d8f8e7ecc87681037e62252b1b60a5099443749987dafc7390686dddf"),
+    (["fisher"], "fisher_report.csv",
+     "6c7b4f2ca465e986cc2d1e29ee6d93046091a5914c99d53480c48086df2a5a96"),
+    (["reproduce", "fig3"], "fig3.csv",
+     "ab58d1aedba77c8f1b48137eb584177d7ea1d5103c55776898d36a870fedab5a"),
 ])
 def test_golden_output_digest(tmp_path, argv, name, sha256):
     # a changed digest means the sampling streams or the estimator arithmetic
     # moved: make that change on purpose and record the new digest with it
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY))
-    out = tmp_path / "out"
-    assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
+    assert output_digest(tmp_path, argv, TINY, name) == sha256
+
+
+def test_golden_output_digest_drift_device(tmp_path):
+    # drifted runs take the quadrature projections instead of the closed form
+    data = {**TINY, "drift": {"std": 0.05},
+            "device": {"crosstalk_eps": 0.02, "efficiency": 0.9, "dark_rate": 1.0}}
+    assert (output_digest(tmp_path, ["simulate"], data, "records.csv")
+            == "a2d059932ad987d3c59957c02cacc9888c73131a7e0664805097dda9bed897a6")
