@@ -25,6 +25,7 @@ from .estimator import (
     estimate_gls,
 )
 from .information import (
+    QFI,
     FisherReport,
     classical_fi_discrete,
     coherent_channel_fi_analytic,
@@ -32,7 +33,6 @@ from .information import (
     intensity_fi,
     modified_qfi,
     per_detection_fi,
-    qfi_constant,
 )
 from .montecarlo import (
     DetectionRecord,
@@ -42,7 +42,6 @@ from .montecarlo import (
     sample_run,
 )
 from .pulses import (
-    PulseSpec,
     WaveformSamples,
     gaussian_amplitude,
     hg_amplitude,

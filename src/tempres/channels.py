@@ -10,14 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import (
-    PulseSpec,
-    WaveformSamples,
-    gaussian_amplitude,
-    hg_amplitude,
-    make_grid,
-    shifted_pulse,
-)
+from .pulses import GRID, WaveformSamples, gaussian_amplitude, hg_amplitude, shifted_pulse
 
 GAMMA_MIN, GAMMA_MAX = 0.0, 0.5
 
@@ -66,10 +59,6 @@ class DeviceModel:
         if self.dark_rate < 0:
             raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.crosstalk_eps == 0.0 and self.efficiency == 1.0 and self.dark_rate == 0.0
-
 
 @dataclass(frozen=True)
 class IntensityProfile:
@@ -80,22 +69,18 @@ class IntensityProfile:
     density: np.ndarray
 
 
-def coherent_modes(spec: PulseSpec, tau: float,
-                   grid: np.ndarray | None = None,
-                   centroid_offset: float = 0.0):
+def coherent_modes(tau: float, centroid_offset: float = 0.0):
     """Symmetric / antisymmetric superpositions of the two shifted pulses.
 
     psi_s = (psi_+ + psi_-)/sqrt(2), psi_a = (psi_+ - psi_-)/sqrt(2); with the
     1/sqrt(2) component weights, ||psi_s||^2 + ||psi_a||^2 = 1.  An optional
     joint centroid offset models timing drift between signal and gating.
     """
-    if grid is None:
-        grid = make_grid(spec)
-    t = grid - centroid_offset
-    plus = gaussian_amplitude(spec, t + tau / 2.0) / np.sqrt(2.0)
-    minus = gaussian_amplitude(spec, t - tau / 2.0) / np.sqrt(2.0)
-    psi_s = WaveformSamples(grid, (plus + minus) / np.sqrt(2.0))
-    psi_a = WaveformSamples(grid, (plus - minus) / np.sqrt(2.0))
+    t = GRID - centroid_offset
+    plus = gaussian_amplitude(t + tau / 2.0) / np.sqrt(2.0)
+    minus = gaussian_amplitude(t - tau / 2.0) / np.sqrt(2.0)
+    psi_s = WaveformSamples(GRID, (plus + minus) / np.sqrt(2.0))
+    psi_a = WaveformSamples(GRID, (plus - minus) / np.sqrt(2.0))
     return psi_s, psi_a
 
 
@@ -106,8 +91,8 @@ def _xlogy(n, x) -> float:
     return n * math.log(x) if x > 0 else -math.inf
 
 
-def mode_weight(spec: PulseSpec, tau, n) -> np.ndarray:
-    """Closed-form projection weight p_n(tau) = x^n/n! e^(-x), x = tau^2/(16 sigma^2).
+def mode_weight(tau, n) -> np.ndarray:
+    """Closed-form projection weight p_n(tau) = x^n/n! e^(-x), x = tau^2/16.
 
     A Poisson pmf in the mode index, which is also why the weights sum to one
     over all n.  tau and n broadcast against each other.  The value is
@@ -115,26 +100,26 @@ def mode_weight(spec: PulseSpec, tau, n) -> np.ndarray:
     operations of scipy.stats.poisson.pmf in its order, so the two agree bit
     for bit up to n = 12 (np.log and math.lgamma would not).
     """
-    x = tau**2 / (16.0 * spec.sigma_t**2)
+    x = tau**2 / 16.0
     pairs = np.broadcast(n, x)
     log_pmf = [_xlogy(k, v) - math.log(math.factorial(k)) - v for k, v in pairs]
     return np.exp(np.reshape(log_pmf, pairs.shape))
 
 
-def hg_projection_probs(spec: PulseSpec, tau: float):
-    """Ideal-device HG detection probabilities for both channels.
+def hg_projection_probs(mode_cutoff: int, tau: float):
+    """Ideal-device HG detection probabilities for both channels, n < mode_cutoff.
 
     The symmetric channel carries p_n(tau) at even n and exact zeros at odd n;
     the antisymmetric channel is the parity complement.  Tail mass beyond the
     cutoff is reported per channel.
     """
-    n = np.arange(spec.mode_cutoff)
-    p = mode_weight(spec, tau, n)
+    n = np.arange(mode_cutoff)
+    p = mode_weight(tau, n)
     even = n % 2 == 0
     probs_s = np.where(even, p, 0.0)
     probs_a = np.where(~even, p, 0.0)
 
-    x = tau**2 / (16.0 * spec.sigma_t**2)
+    x = tau**2 / 16.0
     total_even = 0.5 * (1.0 + np.exp(-2.0 * x))   # sum of p_n over all even n
     total_odd = 0.5 * (1.0 - np.exp(-2.0 * x))
     tail_s = max(total_even - probs_s.sum(), 0.0)
@@ -143,20 +128,17 @@ def hg_projection_probs(spec: PulseSpec, tau: float):
             ChannelDistribution("a", probs_a, tail_a))
 
 
-def quadrature_projection_probs(spec: PulseSpec, tau: float,
-                                grid: np.ndarray | None = None,
+def quadrature_projection_probs(mode_cutoff: int, tau: float,
                                 centroid_offset: float = 0.0):
     """Projection probabilities computed by brute-force overlap integrals.
 
     Oracle for the closed form when centroid_offset = 0; the only route when a
     drift offset breaks the parity structure.
     """
-    if grid is None:
-        grid = make_grid(spec)
-    psi_s, psi_a = coherent_modes(spec, tau, grid, centroid_offset)
-    modes = np.array([hg_amplitude(spec, k, grid) for k in range(spec.mode_cutoff)])
-    amp_s = np.trapezoid(modes * psi_s.values, grid, axis=1)
-    amp_a = np.trapezoid(modes * psi_a.values, grid, axis=1)
+    psi_s, psi_a = coherent_modes(tau, centroid_offset)
+    modes = np.array([hg_amplitude(k, GRID) for k in range(mode_cutoff)])
+    amp_s = np.trapezoid(modes * psi_s.values, GRID, axis=1)
+    amp_a = np.trapezoid(modes * psi_a.values, GRID, axis=1)
     probs_s = amp_s**2
     probs_a = amp_a**2
     tail_s = max(psi_s.norm_sq() - probs_s.sum(), 0.0)
@@ -182,25 +164,19 @@ def mixed_projection_probs(ideal_s: ChannelDistribution, ideal_a: ChannelDistrib
     return mixed_s, mixed_a
 
 
-def intensity_profiles(spec: PulseSpec, tau: float,
-                       grid: np.ndarray | None = None):
+def intensity_profiles(tau: float):
     """Pointwise |psi_s|^2 and |psi_a|^2 on the standard grid."""
-    if grid is None:
-        grid = make_grid(spec)
-    psi_s, psi_a = coherent_modes(spec, tau, grid)
-    return (IntensityProfile("s", grid, np.abs(psi_s.values) ** 2),
-            IntensityProfile("a", grid, np.abs(psi_a.values) ** 2))
+    psi_s, psi_a = coherent_modes(tau)
+    return (IntensityProfile("s", GRID, np.abs(psi_s.values) ** 2),
+            IntensityProfile("a", GRID, np.abs(psi_a.values) ** 2))
 
 
-def incoherent_intensity_profile(spec: PulseSpec, tau: float,
-                                 grid: np.ndarray | None = None) -> IntensityProfile:
+def incoherent_intensity_profile(tau: float) -> IntensityProfile:
     """Intensity of the incoherent mixture, |psi_+|^2 + |psi_-|^2 (unit integral)."""
-    if grid is None:
-        grid = make_grid(spec)
-    plus = shifted_pulse(spec, tau, +1, grid)
-    minus = shifted_pulse(spec, tau, -1, grid)
+    plus = shifted_pulse(tau, +1)
+    minus = shifted_pulse(tau, -1)
     density = np.abs(plus.values) ** 2 + np.abs(minus.values) ** 2
-    return IntensityProfile("incoh", grid, density)
+    return IntensityProfile("incoh", GRID, density)
 
 
 def apply_device(ideal: ChannelDistribution, dev: DeviceModel,

@@ -119,7 +119,7 @@ def cmd_fisher(args):
     rows = []
     for tau in cfg.tau_grid:
         for gamma in cfg.gammas:
-            r = fisher_report(cfg.spec, tau, gamma)
+            r = fisher_report(tau, gamma)
             rows.append([r.tau, r.gamma, r.fi_s, r.fi_a, r.fi_total, r.qfi,
                          r.fi_intensity_s, r.fi_intensity_a,
                          r.fi_intensity_incoherent, r.crb_per_event])
@@ -218,6 +218,14 @@ def _match_grid(records, cfg: mc.ExperimentConfig, path):
     return matched
 
 
+def _run_pipeline(cfg: mc.ExperimentConfig, **kwargs):
+    """pipeline.run_pipeline, with an estimate that fails as a data mismatch."""
+    try:
+        return pipeline.run_pipeline(cfg, **kwargs)
+    except est.EstimationError as exc:
+        raise CliError(EXIT_MISMATCH, str(exc)) from exc
+
+
 def _stats_rows(stats):
     for s in stats:
         yield [s.tau_true, s.gamma, s.n_runs, s.mean, s.variance, s.bias,
@@ -234,7 +242,7 @@ def cmd_estimate(args):
     out = _out_dir(args)
     records = _match_grid(read_records(args.records), cfg, args.records)
 
-    result = pipeline.run_pipeline(
+    result = _run_pipeline(
         cfg, records=records,
         calibration_records=records if run.reuse_records_for_calibration else None,
         calibration_repetitions=run.calibration_repetitions)
@@ -252,24 +260,22 @@ def cmd_estimate(args):
 def _bound_series(cfg: mc.ExperimentConfig):
     """Quantum CRB and incoherent intensity-only CRB per detection vs tau."""
     from .channels import incoherent_intensity_profile
-    from .information import intensity_fi, qfi_constant
+    from .information import QFI, intensity_fi
 
-    q = qfi_constant(cfg.spec)
     int_crb = []
     for tau in cfg.tau_grid:
         if tau <= 0:
             continue   # Rayleigh's curse: bound diverges at tau = 0
-        fi = intensity_fi(lambda t: incoherent_intensity_profile(cfg.spec, t), tau)
+        fi = intensity_fi(incoherent_intensity_profile, tau)
         if fi > 0:
             int_crb.append((tau, 1.0 / fi))
-    return {"qcrb": [(tau, 1.0 / q) for tau in cfg.tau_grid],
+    return {"qcrb": [(tau, 1.0 / QFI) for tau in cfg.tau_grid],
             "intensity_crb": int_crb}
 
 
 def _figure_pipeline(run: config_mod.RunConfig, gammas):
     cfg = replace(run.experiment, gammas=tuple(gammas))
-    return cfg, pipeline.run_pipeline(
-        cfg, calibration_repetitions=run.calibration_repetitions)
+    return cfg, _run_pipeline(cfg, calibration_repetitions=run.calibration_repetitions)
 
 
 def cmd_reproduce(args):

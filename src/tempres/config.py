@@ -8,8 +8,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .channels import DeviceModel
-from .montecarlo import DriftSpec, ExperimentConfig
-from .pulses import PulseSpec
+from .montecarlo import DEFAULT_GAMMAS, DriftSpec, ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -19,7 +18,7 @@ class ConfigError(ValueError):
 _EXPERIMENT = ExperimentConfig()
 
 DEFAULTS = {
-    "mode_cutoff": _EXPERIMENT.spec.mode_cutoff,
+    "mode_cutoff": _EXPERIMENT.mode_cutoff,
     "tau_grid": list(_EXPERIMENT.tau_grid),
     "gammas": list(_EXPERIMENT.gammas),
     "repetitions": _EXPERIMENT.repetitions,
@@ -30,6 +29,12 @@ DEFAULTS = {
     "calibration": {"repetitions": None, "reuse_records": False},
 }
 _DRIFT_DEFAULTS = {"std": 0.0, "recenter_period": DriftSpec.recenter_period}
+
+# Runs in one simulated table.  A run is held as a DetectionRecord of about
+# 1.4 kB, and the pipeline peaks at about 4 kB per run (analysis records,
+# calibration records and estimates; tracemalloc on the default grid), so
+# 2**19 runs keep that peak near 2 GiB.
+MAX_RUNS = 2**19
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,14 @@ def _integer(value, key):
     return int(value)
 
 
+def _check_runs(experiment: ExperimentConfig, repetitions: int, key: str):
+    # reproduce runs the five default gammas whatever the config lists
+    cells = len(experiment.tau_grid) * max(len(experiment.gammas), len(DEFAULT_GAMMAS))
+    if cells * repetitions > MAX_RUNS:
+        raise ConfigError(f"{key} = {repetitions} gives {cells * repetitions} runs over "
+                          f"{cells} cells, more than the limit of {MAX_RUNS}")
+
+
 def from_dict(data: dict) -> RunConfig:
     merged = _merge(DEFAULTS, data, "")
     try:
@@ -78,8 +91,7 @@ def from_dict(data: dict) -> RunConfig:
                                                        "drift.recenter_period"))
             merged["drift"] = drift_merged
         experiment = ExperimentConfig(
-            spec=PulseSpec(sigma_t=1.0,
-                           mode_cutoff=_integer(merged["mode_cutoff"], "mode_cutoff")),
+            mode_cutoff=_integer(merged["mode_cutoff"], "mode_cutoff"),
             tau_grid=tuple(float(t) for t in merged["tau_grid"]),
             gammas=tuple(float(g) for g in merged["gammas"]),
             repetitions=_integer(merged["repetitions"], "repetitions"),
@@ -99,6 +111,8 @@ def from_dict(data: dict) -> RunConfig:
         cal_reps = _integer(cal_reps, "calibration.repetitions")
         if cal_reps < 1:
             raise ConfigError(f"calibration.repetitions must be >= 1, got {cal_reps}")
+        _check_runs(experiment, cal_reps, "calibration.repetitions")
+    _check_runs(experiment, experiment.repetitions, "repetitions")
     return RunConfig(experiment=experiment,
                      calibration_repetitions=cal_reps,
                      reuse_records_for_calibration=bool(cal["reuse_records"]),

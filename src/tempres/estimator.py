@@ -7,6 +7,7 @@ constrained to tau_hat >= 0.  Weights are inverse Poisson variances evaluated
 at a pilot unweighted estimate.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +26,10 @@ CALIBRATION_SEED_OFFSET = 0x9E3779B97F4A7C15
 
 
 class CalibrationError(ValueError):
+    pass
+
+
+class EstimationError(ValueError):
     pass
 
 
@@ -75,8 +80,7 @@ def record_components(record: DetectionRecord, mean_total_detections: float) -> 
     return counts / mean_total_detections
 
 
-def calibrate(records, gamma: float, config: ExperimentConfig,
-              tau_max: float = SCAN_TAU_MAX) -> CalibrationModel:
+def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationModel:
     """Fit the mean response of each (channel, projection) with a quartic in tau.
 
     records must carry known true separations for the given gamma; at least
@@ -103,7 +107,7 @@ def calibrate(records, gamma: float, config: ExperimentConfig,
     fitted = npoly.polyval(tau_arr, coeffs)                   # (8, n_tau)
     residual_rms = np.sqrt(np.mean((fitted.T - means) ** 2, axis=0))
 
-    scan_grid = np.linspace(0.0, tau_max * config.spec.sigma_t, SCAN_POINTS)
+    scan_grid = np.linspace(0.0, SCAN_TAU_MAX, SCAN_POINTS)
     model_matrix = npoly.polyval(scan_grid, coeffs).T         # (J, 8)
     return CalibrationModel(gamma=gamma, tau_grid=tau_arr, coeffs=coeffs.T,
                             residual_rms=residual_rms, scan_grid=scan_grid,
@@ -111,8 +115,16 @@ def calibrate(records, gamma: float, config: ExperimentConfig,
 
 
 def _refine_minimum(grid: np.ndarray, objective: np.ndarray) -> float:
-    """Parabolic vertex through the grid minimum and its neighbors."""
+    """Parabolic vertex through the grid minimum and its neighbors.
+
+    A non-finite minimum (argmin picks the first NaN) means the objective
+    overflowed, for example counts / mean_total_detections beyond float
+    range; the scan then locates nothing, so it is an error.
+    """
     j = int(np.argmin(objective))
+    if not math.isfinite(objective[j]):
+        raise EstimationError(f"GLS scan objective is {objective[j]} at its minimum: the "
+                              "counts in units of mean_total_detections overflow")
     if j == 0 or j == len(grid) - 1:
         return float(grid[j])
     y0, y1, y2 = objective[j - 1], objective[j], objective[j + 1]
@@ -131,7 +143,7 @@ def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
 
     A pilot unweighted scan locates tau_hat_0; Poisson variances of the
     calibrated means at tau_hat_0 then weight the final scan.  Both scans run
-    over [0, tau_max] so the tau_hat >= 0 constraint holds by construction.
+    over [0, SCAN_TAU_MAX] so the tau_hat >= 0 constraint holds by construction.
     """
     c = record_components(record, config.mean_total_detections)
     if not np.any(c > 0):

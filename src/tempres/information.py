@@ -1,9 +1,9 @@
 """Fisher information of mode projections and intensity measurements, plus bounds.
 
-Every quantity is quoted per single detection event (units 1/sigma_t^2), the
-same normalization used for the Cramer-Rao bounds.  Finite-difference
-evaluators exist next to every closed form so the two routes can cross-check
-each other.
+Every quantity is quoted per single detection event in units of 1/sigma_t^2
+(sigma_t = 1), the same normalization used for the Cramer-Rao bounds.
+Finite-difference evaluators exist next to every closed form so the two routes
+can cross-check each other.
 """
 
 import math
@@ -13,9 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import check_gamma, incoherent_intensity_profile, intensity_profiles
-from .pulses import PulseSpec, WaveformSamples, quadrature_inner_product
+from .pulses import WaveformSamples, quadrature_inner_product
 
 DEFAULT_FD_STEP = 1e-4
+
+# quantum FI of the two-pulse separation, 1/(4 sigma_t^2), the same at every tau
+QFI = 0.25
 
 # Zero-probability outcomes contribute 0/0 terms; both thresholds must hold
 # before a term is dropped, so genuinely inconsistent inputs still blow up.
@@ -75,38 +78,32 @@ def classical_fi_discrete(prob_fn, tau: float, step: float = DEFAULT_FD_STEP) ->
     return float(np.sum(dp[keep] ** 2 / np.maximum(p[keep], PROB_FLOOR)))
 
 
-def coherent_channel_fi_analytic(spec: PulseSpec, tau: float):
+def coherent_channel_fi_analytic(tau: float):
     """Closed-form per-channel FI of the fully coherent superpositions.
 
-    F_s = 1/(8 s^2) - (1/(8 s^2) - tau^2/(32 s^4)) exp(-tau^2 / 8 s^2) and
-    F_a with the opposite sign of the second term; the sum is the constant
-    quantum FI 1/(4 s^2).
+    F_s = 1/8 - (1/8 - tau^2/32) exp(-tau^2 / 8) and F_a with the opposite
+    sign of the second term; the sum is the constant quantum FI 1/4.
     """
-    s2 = spec.sigma_t**2
-    base = 1.0 / (8.0 * s2)
-    osc = (1.0 / (8.0 * s2) - tau**2 / (32.0 * s2 * s2)) * math.exp(-tau**2 / (8.0 * s2))
+    base = 1.0 / 8.0
+    osc = (1.0 / 8.0 - tau**2 / 32.0) * math.exp(-tau**2 / 8.0)
     return base - osc, base + osc
 
 
-def mixed_channel_fi_analytic(spec: PulseSpec, tau: float, gamma: float):
+def mixed_channel_fi_analytic(tau: float, gamma: float):
     """Channel FI of the gamma mixture: convex combinations of F_s and F_a."""
     g = check_gamma(gamma)
-    f_s, f_a = coherent_channel_fi_analytic(spec, tau)
+    f_s, f_a = coherent_channel_fi_analytic(tau)
     return (1.0 - g) * f_s + g * f_a, g * f_s + (1.0 - g) * f_a
 
 
-def qfi_constant(spec: PulseSpec) -> float:
-    """Quantum FI of the two-pulse separation, 1/(4 sigma_t^2), tau-independent."""
-    return 1.0 / (4.0 * spec.sigma_t**2)
-
-
-def modified_qfi(state_fn, tau: float, step: float = DEFAULT_FD_STEP,
-                 check_convergence: bool = True) -> float:
+def modified_qfi(state_fn, tau: float, step: float = DEFAULT_FD_STEP) -> float:
     """Quantum FI generalized to states whose norm depends on the parameter.
 
     Q = 4 <d psi | d psi> + (1/N) [<psi|d psi> - <d psi|psi>]^2 with
     N = <psi|psi>; the bracket vanishes identically for real waveforms.
-    Derivatives are central differences of the sampled state.
+    Derivatives are central differences of the sampled state, evaluated at
+    `step` and at step/2; the finer value is returned, with a warning when
+    the two disagree.
     """
 
     def evaluate(h):
@@ -123,18 +120,16 @@ def modified_qfi(state_fn, tau: float, step: float = DEFAULT_FD_STEP,
         return value
 
     value = evaluate(step)
-    if check_convergence:
-        refined = evaluate(step / 2.0)
-        scale = max(abs(refined), 1e-30)
-        if abs(value - refined) / scale > 1e-4:
-            warnings.warn(
-                f"modified_qfi has not converged at step {step}: "
-                f"{value} vs {refined} after halving", RuntimeWarning)
-        value = refined
-    return value
+    refined = evaluate(step / 2.0)
+    scale = max(abs(refined), 1e-30)
+    if abs(value - refined) / scale > 1e-4:
+        warnings.warn(
+            f"modified_qfi has not converged at step {step}: "
+            f"{value} vs {refined} after halving", RuntimeWarning)
+    return refined
 
 
-def intensity_fi(profile_fn, tau: float, step: float = DEFAULT_FD_STEP) -> float:
+def intensity_fi(profile_fn, tau: float) -> float:
     """FI of a time-resolved intensity measurement, integral (dP/dtau)^2 / P dt.
 
     profile_fn maps tau to an IntensityProfile; points where both P and its
@@ -142,7 +137,7 @@ def intensity_fi(profile_fn, tau: float, step: float = DEFAULT_FD_STEP) -> float
     """
     profile = profile_fn(tau)
     p = profile.density
-    dp = _central_derivative(lambda t: profile_fn(t).density, tau, step)
+    dp = _central_derivative(lambda t: profile_fn(t).density, tau, DEFAULT_FD_STEP)
     integrand = np.zeros_like(p)
     keep = p > PROB_FLOOR
     integrand[keep] = dp[keep] ** 2 / p[keep]
@@ -164,25 +159,23 @@ def per_detection_fi(fi: float, detected_fraction: float) -> float:
     return fi / detected_fraction
 
 
-def fisher_report(spec: PulseSpec, tau: float, gamma: float,
-                  step: float = DEFAULT_FD_STEP) -> FisherReport:
+def fisher_report(tau: float, gamma: float) -> FisherReport:
     """Assemble every information quantity at one (tau, gamma) grid point.
 
     Channel FI values use the analytic mixtures; intensity FI values are
     quadrature evaluations (the two routes are cross-checked in the tests).
     """
     g = check_gamma(gamma)
-    fi_s, fi_a = mixed_channel_fi_analytic(spec, tau, g)
+    fi_s, fi_a = mixed_channel_fi_analytic(tau, g)
     fi_total = fi_s + fi_a
-    q = qfi_constant(spec)
 
-    fi_int_s = intensity_fi(lambda t: intensity_profiles(spec, t)[0], tau, step)
-    fi_int_a = intensity_fi(lambda t: intensity_profiles(spec, t)[1], tau, step)
-    fi_int_incoh = intensity_fi(lambda t: incoherent_intensity_profile(spec, t), tau, step)
+    fi_int_s = intensity_fi(lambda t: intensity_profiles(t)[0], tau)
+    fi_int_a = intensity_fi(lambda t: intensity_profiles(t)[1], tau)
+    fi_int_incoh = intensity_fi(incoherent_intensity_profile, tau)
 
     return FisherReport(
         tau=tau, gamma=g,
-        fi_s=fi_s, fi_a=fi_a, fi_total=fi_total, qfi=q,
+        fi_s=fi_s, fi_a=fi_a, fi_total=fi_total, qfi=QFI,
         fi_intensity_s=fi_int_s, fi_intensity_a=fi_int_a,
         fi_intensity_incoherent=fi_int_incoh,
         crb_per_event=1.0 / fi_total,

@@ -19,7 +19,7 @@ from .channels import (
     mixed_projection_probs,
     quadrature_projection_probs,
 )
-from .pulses import GRID_TAU_MARGIN, PulseSpec
+from .pulses import GRID_TAU_MARGIN
 
 N_RECORDED = 4   # projections n = 0..3 enter the records, as in the estimator
 
@@ -56,7 +56,7 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    spec: PulseSpec = field(default_factory=PulseSpec)
+    mode_cutoff: int = 8     # HG modes per channel in the rate model
     tau_grid: tuple = DEFAULT_TAU_GRID
     gammas: tuple = DEFAULT_GAMMAS
     repetitions: int = 100
@@ -72,9 +72,9 @@ class ExperimentConfig:
         if outside:
             raise ValueError(f"tau_grid values must lie in [0, {GRID_TAU_MARGIN:g}], the "
                              f"separations the quadrature grid covers, got {outside[0]}")
-        if not N_RECORDED <= self.spec.mode_cutoff <= MAX_MODE_CUTOFF:
+        if not N_RECORDED <= self.mode_cutoff <= MAX_MODE_CUTOFF:
             raise ValueError(f"mode_cutoff must lie in [{N_RECORDED}, {MAX_MODE_CUTOFF}], "
-                             f"got {self.spec.mode_cutoff}")
+                             f"got {self.mode_cutoff}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not 0 < self.mean_total_detections <= MAX_POISSON_MEAN:
@@ -115,10 +115,10 @@ def detection_rates(config: ExperimentConfig, tau: float, gamma: float,
     quadrature otherwise, since an offset breaks the even/odd structure.
     """
     if centroid_offset == 0.0:
-        ideal_s, ideal_a = hg_projection_probs(config.spec, tau)
+        ideal_s, ideal_a = hg_projection_probs(config.mode_cutoff, tau)
     else:
         ideal_s, ideal_a = quadrature_projection_probs(
-            config.spec, tau, centroid_offset=centroid_offset)
+            config.mode_cutoff, tau, centroid_offset=centroid_offset)
     mixed_s, mixed_a = mixed_projection_probs(ideal_s, ideal_a, gamma)
     dark_norm = config.device.dark_rate / config.mean_total_detections
     rate_s = apply_device(mixed_s, config.device, dark_norm)

@@ -1,34 +1,18 @@
 """Gaussian pulse waveforms, Hermite-Gauss temporal modes and overlap quadrature.
 
-Internally sigma_t = 1 is the natural choice; every public function accepts an
-explicit PulseSpec so scaled widths remain available for unit-scaling tests.
-All waveforms live on a shared uniform grid wide enough that Gaussian tails
-are far below double precision (|psi| < 1e-31 at 12 sigma).
+Times are in units of the pulse width sigma_t, which is 1 throughout the
+library, so every waveform is the unit-width one.  All waveforms live on one
+standard uniform grid, GRID, wide enough that Gaussian tails are far below
+double precision (|psi| < 1e-31 at 12 sigma_t).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-GRID_HALF_WIDTH = 12.0   # in units of sigma_t, before the tau_max margin
+GRID_HALF_WIDTH = 12.0   # in units of sigma_t, before the tau margin
 GRID_POINTS = 4096
 GRID_TAU_MARGIN = 4.0   # largest separation the standard grid covers
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """Gaussian waveform family: width sigma_t and number of retained HG modes."""
-
-    sigma_t: float = 1.0
-    mode_cutoff: int = 8
-
-    def __post_init__(self):
-        if not self.sigma_t > 0:
-            raise ValueError(f"sigma_t must be positive, got {self.sigma_t}")
-        if self.mode_cutoff < 2:
-            raise ValueError(
-                f"mode_cutoff must be >= 2 (one even and one odd mode), got {self.mode_cutoff}"
-            )
 
 
 @dataclass(frozen=True)
@@ -52,40 +36,40 @@ class WaveformSamples:
         return float(np.trapezoid(np.abs(self.values) ** 2, self.grid))
 
 
-def make_grid(spec: PulseSpec, tau_max: float = GRID_TAU_MARGIN,
-              points: int = GRID_POINTS) -> np.ndarray:
-    """Standard quadrature grid covering every shifted pulse used in a study."""
-    half = GRID_HALF_WIDTH * spec.sigma_t + tau_max
+def make_grid(points: int = GRID_POINTS) -> np.ndarray:
+    """Uniform quadrature grid covering every shifted pulse used in a study."""
+    half = GRID_HALF_WIDTH + GRID_TAU_MARGIN
     return np.linspace(-half, half, points)
 
 
-def gaussian_amplitude(spec: PulseSpec, t):
-    """Unit-norm Gaussian amplitude (2 pi sigma^2)^(-1/4) exp(-t^2 / 4 sigma^2)."""
-    s2 = spec.sigma_t**2
-    return (2.0 * np.pi * s2) ** (-0.25) * np.exp(-np.asarray(t, dtype=float) ** 2 / (4.0 * s2))
+# the standard grid, shared by every caller, so it is read-only
+GRID = make_grid()
+GRID.flags.writeable = False
 
 
-def hg_amplitude(spec: PulseSpec, n: int, t):
+def gaussian_amplitude(t):
+    """Unit-norm Gaussian amplitude (2 pi)^(-1/4) exp(-t^2 / 4)."""
+    return (2.0 * np.pi) ** (-0.25) * np.exp(-np.asarray(t, dtype=float) ** 2 / 4.0)
+
+
+def hg_amplitude(n: int, t):
     """Hermite-Gauss temporal mode HG_n(t), orthonormal in L2.
 
     Evaluated with the normalized three-term recurrence
-    HG_n = sqrt(2/n) x HG_{n-1} - sqrt((n-1)/n) HG_{n-2}, x = t / (sqrt(2) sigma),
+    HG_n = sqrt(2/n) x HG_{n-1} - sqrt((n-1)/n) HG_{n-2}, x = t / sqrt(2),
     which keeps amplitudes O(1) for any practical n (no factorials formed).
     """
-    if not 0 <= n < spec.mode_cutoff:
-        raise ValueError(
-            f"mode index {n} out of range [0, {spec.mode_cutoff})"
-        )
-    x = np.asarray(t, dtype=float) / (np.sqrt(2.0) * spec.sigma_t)
+    if n < 0:
+        raise ValueError(f"mode index {n} out of range, must be >= 0")
+    x = np.asarray(t, dtype=float) / np.sqrt(2.0)
     prev = np.zeros_like(x)
-    cur = gaussian_amplitude(spec, t)
+    cur = gaussian_amplitude(t)
     for k in range(1, n + 1):
         prev, cur = cur, np.sqrt(2.0 / k) * x * cur - np.sqrt((k - 1) / k) * prev
     return cur
 
 
-def shifted_pulse(spec: PulseSpec, tau: float, sign: int,
-                  grid: np.ndarray | None = None) -> WaveformSamples:
+def shifted_pulse(tau: float, sign: int) -> WaveformSamples:
     """One of the pair psi(t +/- tau/2) / sqrt(2).
 
     The 1/sqrt(2) weight keeps the pair's total intensity normalized to one:
@@ -95,10 +79,8 @@ def shifted_pulse(spec: PulseSpec, tau: float, sign: int,
         raise ValueError(f"tau must be >= 0, got {tau}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if grid is None:
-        grid = make_grid(spec)
-    values = gaussian_amplitude(spec, grid + sign * tau / 2.0) / np.sqrt(2.0)
-    return WaveformSamples(grid, values)
+    values = gaussian_amplitude(GRID + sign * tau / 2.0) / np.sqrt(2.0)
+    return WaveformSamples(GRID, values)
 
 
 def quadrature_inner_product(f: WaveformSamples, g: WaveformSamples) -> complex:

@@ -13,18 +13,16 @@ import pytest
 
 from tempres import (
     DeviceModel,
+    QFI,
     ExperimentConfig,
-    PulseSpec,
     classical_fi_discrete,
     coherent_channel_fi_analytic,
     coherent_modes,
     hg_projection_probs,
     incoherent_intensity_profile,
     intensity_fi,
-    make_grid,
     mixed_projection_probs,
     modified_qfi,
-    qfi_constant,
     quadrature_projection_probs,
 )
 from tempres import pipeline
@@ -41,19 +39,12 @@ VAR_BAND = (0.8 * QCRB_PER_DETECTION, 2.0 * QCRB_PER_DETECTION)
 
 INCOH_INTENSITY_FI_AT_0P1 = 1.2437913060e-3       # frozen quadrature oracle value
 
+MODE_CUTOFF = 8                                   # the default model cutoff
+WIDE_CUTOFF = 16                                  # negligible truncation to tau = 3
+
 
 def report(number, message):
     print(f"PASS criterion {number}: {message}")
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return PulseSpec()
-
-
-@pytest.fixture(scope="module")
-def wide_spec():
-    return PulseSpec(mode_cutoff=16)
 
 
 def run_stats(config):
@@ -80,23 +71,22 @@ def crosstalk_run():
     return config, stats, elapsed
 
 
-def test_criterion_1_qfi_constancy(wide_spec):
+def test_criterion_1_qfi_constancy():
     start = time.perf_counter()
 
     def mixed_probs(gamma):
         def fn(tau):
-            s, a = hg_projection_probs(wide_spec, tau)
+            s, a = hg_projection_probs(WIDE_CUTOFF, tau)
             ms, ma = mixed_projection_probs(s, a, gamma)
             return np.concatenate([ms.probs, ma.probs])
         return fn
 
-    q = qfi_constant(wide_spec)
     worst = 0.0
     for gamma in GAMMAS:
         fn = mixed_probs(gamma)
         for tau in np.linspace(0.05, 3.0, 25):
             total = classical_fi_discrete(fn, tau)
-            worst = max(worst, abs(total - q) / q)
+            worst = max(worst, abs(total - QFI) / QFI)
     elapsed = time.perf_counter() - start
     assert worst < 1e-6
     assert elapsed < 1.0
@@ -104,12 +94,12 @@ def test_criterion_1_qfi_constancy(wide_spec):
               f"({elapsed:.2f} s)")
 
 
-def test_criterion_2_closed_form_vs_quadrature(spec):
+def test_criterion_2_closed_form_vs_quadrature():
     start = time.perf_counter()
     worst = 0.0
     for tau in (0.1, 0.5, 1.0, 1.5, 2.0):
-        s, a = hg_projection_probs(spec, tau)
-        qs, qa = quadrature_projection_probs(spec, tau)
+        s, a = hg_projection_probs(MODE_CUTOFF, tau)
+        qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau)
         worst = max(worst, np.abs(s.probs - qs.probs).max(),
                     np.abs(a.probs - qa.probs).max())
     elapsed = time.perf_counter() - start
@@ -119,18 +109,18 @@ def test_criterion_2_closed_form_vs_quadrature(spec):
               f"({elapsed:.2f} s)")
 
 
-def test_criterion_3_channel_fi_vs_finite_differences(wide_spec):
+def test_criterion_3_channel_fi_vs_finite_differences():
     start = time.perf_counter()
 
     def channel(which):
         def fn(tau):
-            s, a = hg_projection_probs(wide_spec, tau)
+            s, a = hg_projection_probs(WIDE_CUTOFF, tau)
             return (s if which == "s" else a).probs
         return fn
 
     worst = 0.0
     for tau in np.linspace(0.05, 3.0, 25):
-        f_s, f_a = coherent_channel_fi_analytic(wide_spec, tau)
+        f_s, f_a = coherent_channel_fi_analytic(tau)
         worst = max(worst,
                     abs(classical_fi_discrete(channel("s"), tau) - f_s) / f_s,
                     abs(classical_fi_discrete(channel("a"), tau) - f_a) / f_a)
@@ -141,14 +131,13 @@ def test_criterion_3_channel_fi_vs_finite_differences(wide_spec):
               f"{worst:.2e} ({elapsed:.2f} s)")
 
 
-def test_criterion_4_modified_qfi_optimality(spec):
+def test_criterion_4_modified_qfi_optimality():
     start = time.perf_counter()
-    grid = make_grid(spec)
     worst = 0.0
     for tau in (0.1, 0.5, 1.0, 2.0):
-        f_s, f_a = coherent_channel_fi_analytic(spec, tau)
-        q_s = modified_qfi(lambda t: coherent_modes(spec, t, grid)[0], tau)
-        q_a = modified_qfi(lambda t: coherent_modes(spec, t, grid)[1], tau)
+        f_s, f_a = coherent_channel_fi_analytic(tau)
+        q_s = modified_qfi(lambda t: coherent_modes(t)[0], tau)
+        q_a = modified_qfi(lambda t: coherent_modes(t)[1], tau)
         worst = max(worst, abs(q_s - f_s) / f_s, abs(q_a - f_a) / f_a)
     elapsed = time.perf_counter() - start
     assert worst < 1e-5
@@ -157,27 +146,27 @@ def test_criterion_4_modified_qfi_optimality(spec):
               f"({elapsed:.2f} s)")
 
 
-def test_criterion_5_rayleigh_curse(spec):
+def test_criterion_5_rayleigh_curse():
     start = time.perf_counter()
-    values = {tau: intensity_fi(lambda t: incoherent_intensity_profile(spec, t), tau)
+    values = {tau: intensity_fi(incoherent_intensity_profile, tau)
               for tau in (1.0, 0.5, 0.2, 0.1, 0.05)}
     ordered = [values[t] for t in (1.0, 0.5, 0.2, 0.1, 0.05)]
     elapsed = time.perf_counter() - start
     assert all(a > b for a, b in zip(ordered, ordered[1:]))
-    assert values[0.1] < 0.01 * qfi_constant(spec)
+    assert values[0.1] < 0.01 * QFI
     assert values[0.1] == pytest.approx(INCOH_INTENSITY_FI_AT_0P1, rel=1e-6)
     assert elapsed < 5.0
     report(5, f"incoherent intensity FI decays to {values[0.1]:.3e} at "
               f"tau = 0.1 sigma_t ({elapsed:.2f} s)")
 
 
-def test_criterion_6_crb_saturation(ideal_run, spec):
+def test_criterion_6_crb_saturation(ideal_run):
     config, stats, elapsed = ideal_run
     lo, hi = VAR_BAND
     for tau in TAUS:
         v = stats[(tau, 0.0)].variance_per_detection
         assert lo <= v <= hi, f"tau={tau}: variance per detection {v}"
-    fi_int = intensity_fi(lambda t: incoherent_intensity_profile(spec, t), 0.1)
+    fi_int = intensity_fi(incoherent_intensity_profile, 0.1)
     intensity_crb = 1.0 / fi_int
     v01 = stats[(0.1, 0.0)].variance_per_detection
     assert v01 * 5.0 <= intensity_crb
@@ -187,12 +176,12 @@ def test_criterion_6_crb_saturation(ideal_run, spec):
               f"tau = 0.1 ({elapsed:.1f} s)")
 
 
-def test_criterion_7_crosstalk_signature(crosstalk_run, spec):
+def test_criterion_7_crosstalk_signature(crosstalk_run):
     config, stats, elapsed = crosstalk_run
     smallest = min(TAUS)
     v_incoh = stats[(smallest, 0.5)].variance_per_detection
     v_coh = stats[(smallest, 0.0)].variance_per_detection
-    fi_int = intensity_fi(lambda t: incoherent_intensity_profile(spec, t), smallest)
+    fi_int = intensity_fi(incoherent_intensity_profile, smallest)
     assert v_incoh > v_coh
     assert v_incoh < 1.0 / fi_int
     assert elapsed < 120.0

@@ -21,85 +21,90 @@ from tempres import (
 from tempres.channels import ChannelDistribution, check_gamma, mode_weight
 
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
+MODE_CUTOFF = 8
+WIDE_CUTOFF = 16
 
 
-def test_coherent_modes_tau_zero(spec, grid):
-    psi_s, psi_a = coherent_modes(spec, 0.0, grid)
+def test_coherent_modes_tau_zero():
+    psi_s, psi_a = coherent_modes(0.0)
     assert np.abs(psi_a.values).max() == 0.0
     assert psi_s.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
-def test_antisymmetric_norm_closed_form(spec, grid, tau):
-    _, psi_a = coherent_modes(spec, tau, grid)
+def test_antisymmetric_norm_closed_form(tau):
+    _, psi_a = coherent_modes(tau)
     expected = 0.5 * (1.0 - np.exp(-tau**2 / 8.0))
     assert psi_a.norm_sq() == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
-def test_mode_parity_in_time(spec, tau):
-    # symmetric grid containing t = 0 so parity can be checked pointwise
-    grid = np.linspace(-16.0, 16.0, 4097)
-    psi_s, psi_a = coherent_modes(spec, tau, grid)
-    np.testing.assert_allclose(psi_s.values, psi_s.values[::-1], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(psi_a.values, -psi_a.values[::-1], rtol=0, atol=1e-15)
-    assert psi_a.values[2048] == 0.0
+def test_mode_parity_in_time(grid, tau):
+    # centred on a grid sample so parity can be checked pointwise about t = 0
+    mid = len(grid) // 2
+    psi_s, psi_a = coherent_modes(tau, centroid_offset=grid[mid])
+    k = np.arange(1, mid)
+    np.testing.assert_allclose(psi_s.values[mid - k], psi_s.values[mid + k],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(psi_a.values[mid - k], -psi_a.values[mid + k],
+                               rtol=0, atol=1e-15)
+    assert psi_a.values[mid] == 0.0
 
 
-def test_norm_split_between_channels(spec, grid):
+def test_norm_split_between_channels():
     for tau in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
-        psi_s, psi_a = coherent_modes(spec, tau, grid)
+        psi_s, psi_a = coherent_modes(tau)
         assert psi_s.norm_sq() + psi_a.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_projection_probs_tau_zero(spec):
-    s, a = hg_projection_probs(spec, 0.0)
+def test_projection_probs_tau_zero():
+    s, a = hg_projection_probs(MODE_CUTOFF, 0.0)
     assert s.probs[0] == pytest.approx(1.0, abs=1e-15)
     assert np.all(s.probs[1:] == 0.0)
     assert np.all(a.probs == 0.0)
 
 
-def test_projection_probs_known_value(spec):
+def test_projection_probs_known_value():
     # p_1(sigma_t) = (1/16) exp(-1/16)
-    _, a = hg_projection_probs(spec, 1.0)
+    _, a = hg_projection_probs(MODE_CUTOFF, 1.0)
     assert a.probs[1] == pytest.approx(np.exp(-1.0 / 16.0) / 16.0, abs=1e-12)
     assert a.probs[1] == pytest.approx(0.0587133, abs=1e-6)
 
 
-def test_projection_probs_parity_purity(spec):
+def test_projection_probs_parity_purity():
     for tau in (0.1, 0.5, 1.0, 2.0):
-        s, a = hg_projection_probs(spec, tau)
+        s, a = hg_projection_probs(MODE_CUTOFF, tau)
         assert np.all(s.probs[1::2] == 0.0)
         assert np.all(a.probs[0::2] == 0.0)
 
 
-def test_projection_probs_total_unity(spec):
+def test_projection_probs_total_unity():
     for tau in (0.0, 0.5, 1.0, 2.0, 3.0):
-        s, a = hg_projection_probs(spec, tau)
+        s, a = hg_projection_probs(MODE_CUTOFF, tau)
         total = s.probs.sum() + a.probs.sum() + s.tail_mass + a.tail_mass
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_mode_weight_is_poisson(spec):
+def test_mode_weight_is_poisson():
     tau = 1.3
     x = tau**2 / 16.0
     n = np.arange(8)
     expected = np.exp(-x) * x**n / np.array([math.factorial(k) for k in n])
-    np.testing.assert_allclose(mode_weight(spec, tau, n), expected, rtol=1e-12)
+    np.testing.assert_allclose(mode_weight(tau, n), expected, rtol=1e-12)
 
 
-def test_mode_weight_reproduces_scipy_poisson_pmf(wide_spec):
+def test_mode_weight_reproduces_scipy_poisson_pmf():
     stats = pytest.importorskip("scipy.stats")
-    n = np.arange(wide_spec.mode_cutoff)
+    n = np.arange(WIDE_CUTOFF)
     taus = np.concatenate([np.arange(7) / 6.0, np.linspace(0.0, 8.0, 401),
                            np.random.default_rng(5).uniform(0.0, 8.0, 400)])
     for tau in taus:
-        got = mode_weight(wide_spec, tau, n)
+        got = mode_weight(tau, n)
         want = stats.poisson.pmf(n, tau**2 / 16.0)
         np.testing.assert_array_equal(got[:13], want[:13])
         np.testing.assert_allclose(got[13:], want[13:], rtol=1e-13, atol=0.0)
     # broadcast over an array of separations at one mode index
-    np.testing.assert_array_equal(mode_weight(wide_spec, taus, 3),
+    np.testing.assert_array_equal(mode_weight(taus, 3),
                                   stats.poisson.pmf(3, taus**2 / 16.0))
 
 
@@ -114,37 +119,37 @@ def test_import_leaves_scipy_unloaded():
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
-def test_closed_form_matches_quadrature(spec, tau):
-    s, a = hg_projection_probs(spec, tau)
-    qs, qa = quadrature_projection_probs(spec, tau)
+def test_closed_form_matches_quadrature(tau):
+    s, a = hg_projection_probs(MODE_CUTOFF, tau)
+    qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau)
     assert np.abs(s.probs - qs.probs).max() < 1e-8
     assert np.abs(a.probs - qa.probs).max() < 1e-8
 
 
-def test_tail_mass_small_below_two_sigma(spec):
+def test_tail_mass_small_below_two_sigma():
     # Poisson argument x = tau^2/16 <= 0.25, so the mass beyond n = 7 is tiny
     for tau in (0.5, 1.0, 2.0):
-        s, a = hg_projection_probs(spec, tau)
+        s, a = hg_projection_probs(MODE_CUTOFF, tau)
         assert s.tail_mass + a.tail_mass < 1e-9
 
 
-def test_mixing_gamma_zero_identity(spec):
-    s, a = hg_projection_probs(spec, 0.8)
+def test_mixing_gamma_zero_identity():
+    s, a = hg_projection_probs(MODE_CUTOFF, 0.8)
     ms, ma = mixed_projection_probs(s, a, 0.0)
     np.testing.assert_array_equal(ms.probs, s.probs)
     np.testing.assert_array_equal(ma.probs, a.probs)
 
 
-def test_mixing_gamma_half_identical_channels(spec):
-    s, a = hg_projection_probs(spec, 0.8)
+def test_mixing_gamma_half_identical_channels():
+    s, a = hg_projection_probs(MODE_CUTOFF, 0.8)
     ms, ma = mixed_projection_probs(s, a, 0.5)
     np.testing.assert_allclose(ms.probs, ma.probs, rtol=0, atol=1e-16)
     np.testing.assert_allclose(ms.probs, 0.5 * (s.probs + a.probs), rtol=1e-15)
 
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
-def test_mixing_preserves_incoherent_sum(spec, gamma):
-    s, a = hg_projection_probs(spec, 0.8)
+def test_mixing_preserves_incoherent_sum(gamma):
+    s, a = hg_projection_probs(MODE_CUTOFF, 0.8)
     ms, ma = mixed_projection_probs(s, a, gamma)
     np.testing.assert_allclose(ms.probs + ma.probs, s.probs + a.probs,
                                rtol=0, atol=1e-16)
@@ -157,27 +162,27 @@ def test_gamma_range_check():
         check_gamma(0.51)
 
 
-def test_intensity_profiles_tau_zero(spec, grid):
-    _, anti = intensity_profiles(spec, 0.0, grid)
+def test_intensity_profiles_tau_zero():
+    _, anti = intensity_profiles(0.0)
     assert np.abs(anti.density).max() == 0.0
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
-def test_intensity_profiles_unit_total(spec, grid, tau):
-    sym, anti = intensity_profiles(spec, tau, grid)
+def test_intensity_profiles_unit_total(grid, tau):
+    sym, anti = intensity_profiles(tau)
     total = np.trapezoid(sym.density, grid) + np.trapezoid(anti.density, grid)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert np.all(sym.density >= 0) and np.all(anti.density >= 0)
 
 
-def test_incoherent_profile_unit_total(spec, grid):
+def test_incoherent_profile_unit_total(grid):
     for tau in (0.1, 1.0, 2.0):
-        profile = incoherent_intensity_profile(spec, tau, grid)
+        profile = incoherent_intensity_profile(tau)
         assert np.trapezoid(profile.density, grid) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_apply_device_identity(spec):
-    s, _ = hg_projection_probs(spec, 0.7)
+def test_apply_device_identity():
+    s, _ = hg_projection_probs(MODE_CUTOFF, 0.7)
     rates = apply_device(s, DeviceModel())
     np.testing.assert_array_equal(rates, s.probs)
 
@@ -189,10 +194,10 @@ def test_apply_device_crosstalk_leak():
     assert rates[0] == pytest.approx(0.8 * (0.98 + 0.01), abs=1e-15)
 
 
-def test_apply_device_rate_bound(spec):
+def test_apply_device_rate_bound():
     dev = DeviceModel(crosstalk_eps=0.05, efficiency=0.9, dark_rate=2.0)
     dark_norm = dev.dark_rate / 1e4
-    s, a = hg_projection_probs(spec, 1.0)
+    s, a = hg_projection_probs(MODE_CUTOFF, 1.0)
     total = apply_device(s, dev, dark_norm).sum() + apply_device(a, dev, dark_norm).sum()
     assert total <= dev.efficiency + 2 * len(s.probs) * dark_norm + 1e-12
     assert np.all(apply_device(s, dev, dark_norm) >= 0)

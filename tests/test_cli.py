@@ -7,6 +7,7 @@ import pytest
 
 from tempres import ExperimentConfig
 from tempres import config as config_mod
+from tempres import montecarlo
 from tempres.cli import CliError, main, read_records
 from tempres.config import ConfigError
 
@@ -271,6 +272,32 @@ def test_short_tau_grid_exits_2_where_calibration_needs_it(tmp_path, capsys, arg
         assert main([command] + args) == 0
 
 
+@pytest.mark.parametrize("data", [{"repetitions": 10**12},
+                                  {"calibration": {"repetitions": 10**12}}])
+@pytest.mark.parametrize("argv", [["fisher"], ["simulate"], ["estimate", "records.csv"],
+                                  ["reproduce", "fig3"]])
+def test_too_many_runs_exit_2_before_simulating(tmp_path, capsys, monkeypatch, data, argv):
+    def simulate(config):
+        raise AssertionError("simulated past the run limit")
+
+    monkeypatch.setattr(montecarlo, "run_experiment", simulate)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "repetitions" in capsys.readouterr().err
+
+
+def test_run_limit_counts_the_gammas_reproduce_uses():
+    # default grid: 7 taus, and reproduce fig3 runs 5 gammas even when 1 is listed
+    most = config_mod.MAX_RUNS // 35
+    for data in ({"repetitions": most}, {"calibration": {"repetitions": most}}):
+        config_mod.from_dict(data)
+    for data in ({"repetitions": most + 1}, {"gammas": [0.0], "repetitions": most + 1},
+                 {"calibration": {"repetitions": most + 1}}):
+        with pytest.raises(ConfigError, match="runs"):
+            config_mod.from_dict(data)
+
+
 def test_negative_seed_flag_exit_2(tmp_path, capsys):
     assert main(["fisher", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert "master_seed" in capsys.readouterr().err
@@ -326,6 +353,22 @@ def test_reproduce_fig2_tracks_diagonal(tmp_path, small_config):
     for tau_true, gamma, mean, std in rows[1:]:
         if float(gamma) == 0.5 and float(tau_true) >= 0.2:
             assert abs(float(mean) - float(tau_true)) < 2.5 * float(std)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command", ["estimate", "reproduce"])
+def test_overflowing_scan_objective_exits_4(tmp_path, capsys, command):
+    # counts / mean_total_detections overflow, so the scan minimum is inf; every
+    # estimate used to come out as 0 with exit 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mean_total_detections": 1e-300,
+                                  "device": {"dark_rate": 1}, "repetitions": 2}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+    argv = (["estimate", str(sim / "records.csv")] if command == "estimate"
+            else ["reproduce", "fig2"])
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 4
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_reproduce_unknown_figure(tmp_path, small_config):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tempres import (
-    PulseSpec,
+    QFI,
     WaveformSamples,
     classical_fi_discrete,
     coherent_channel_fi_analytic,
@@ -15,14 +15,14 @@ from tempres import (
     incoherent_intensity_profile,
     intensity_fi,
     intensity_profiles,
-    make_grid,
     mixed_projection_probs,
     modified_qfi,
     per_detection_fi,
-    qfi_constant,
 )
 from tempres.information import FisherReport, mixed_channel_fi_analytic
 
+# enough modes that truncation is negligible up to tau = 3 sigma_t
+WIDE_CUTOFF = 16
 TAU_GRID = np.linspace(0.05, 3.0, 25)
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
 
@@ -31,81 +31,81 @@ GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
 INCOH_INTENSITY_FI_AT_0P1 = 1.2437913060e-3
 
 
-def channel_probs(spec, gamma=None):
+def channel_probs(mode_cutoff, gamma=None):
     def fn(tau):
-        s, a = hg_projection_probs(spec, tau)
+        s, a = hg_projection_probs(mode_cutoff, tau)
         if gamma is not None:
             s, a = mixed_projection_probs(s, a, gamma)
         return np.concatenate([s.probs, a.probs])
     return fn
 
 
-def single_channel_probs(spec, which, gamma=None):
+def single_channel_probs(mode_cutoff, which, gamma=None):
     def fn(tau):
-        s, a = hg_projection_probs(spec, tau)
+        s, a = hg_projection_probs(mode_cutoff, tau)
         if gamma is not None:
             s, a = mixed_projection_probs(s, a, gamma)
         return (s if which == "s" else a).probs
     return fn
 
 
-def test_incoherent_fi_saturates_quantum_bound(wide_spec):
-    incoh = lambda tau: sum(d.probs for d in hg_projection_probs(wide_spec, tau))
+def test_incoherent_fi_saturates_quantum_bound():
+    incoh = lambda tau: sum(d.probs for d in hg_projection_probs(WIDE_CUTOFF, tau))
     for tau in (0.05, 0.5, 1.0, 2.0, 3.0):
         assert classical_fi_discrete(incoh, tau) == pytest.approx(0.25, rel=1e-6)
 
 
-def test_symmetric_channel_fi_vanishes_at_zero(wide_spec):
-    fi = classical_fi_discrete(single_channel_probs(wide_spec, "s"), 0.0)
+def test_symmetric_channel_fi_vanishes_at_zero():
+    fi = classical_fi_discrete(single_channel_probs(WIDE_CUTOFF, "s"), 0.0)
     assert fi == pytest.approx(0.0, abs=1e-10)
 
 
-def test_mixed_channel_fi_sums_to_quantum_bound(wide_spec):
+def test_mixed_channel_fi_sums_to_quantum_bound():
     for tau in (0.1, 0.5, 1.0):
-        total = classical_fi_discrete(channel_probs(wide_spec, gamma=0.25), tau)
+        total = classical_fi_discrete(channel_probs(WIDE_CUTOFF, gamma=0.25), tau)
         assert total == pytest.approx(0.25, rel=1e-6)
 
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
-def test_saturation_every_gamma(wide_spec, gamma):
+def test_saturation_every_gamma(gamma):
     for tau in TAU_GRID[::4]:
-        total = classical_fi_discrete(channel_probs(wide_spec, gamma=gamma), tau)
+        total = classical_fi_discrete(channel_probs(WIDE_CUTOFF, gamma=gamma), tau)
         assert total == pytest.approx(0.25, rel=1e-6)
 
 
-def test_analytic_channel_fi_values(spec):
-    f_s, f_a = coherent_channel_fi_analytic(spec, 0.0)
+def test_analytic_channel_fi_values():
+    f_s, f_a = coherent_channel_fi_analytic(0.0)
     assert f_s == pytest.approx(0.0, abs=1e-15)
     assert f_a == pytest.approx(0.25, abs=1e-15)
 
-    f_s, f_a = coherent_channel_fi_analytic(spec, 50.0)
+    f_s, f_a = coherent_channel_fi_analytic(50.0)
     assert f_s == pytest.approx(0.125, abs=1e-12)
     assert f_a == pytest.approx(0.125, abs=1e-12)
 
     # at tau = 2 sigma_t the oscillating parenthesis vanishes exactly
-    f_s, _ = coherent_channel_fi_analytic(spec, 2.0)
+    f_s, _ = coherent_channel_fi_analytic(2.0)
     assert f_s == pytest.approx(0.125, abs=1e-15)
 
 
-def test_analytic_sum_constant(spec):
+def test_analytic_sum_constant():
     for tau in TAU_GRID:
-        f_s, f_a = coherent_channel_fi_analytic(spec, tau)
+        f_s, f_a = coherent_channel_fi_analytic(tau)
         assert f_s + f_a == pytest.approx(0.25, abs=1e-15)
 
 
-def test_analytic_vs_finite_difference(wide_spec):
+def test_analytic_vs_finite_difference():
     for tau in TAU_GRID:
-        f_s, f_a = coherent_channel_fi_analytic(wide_spec, tau)
-        d_s = classical_fi_discrete(single_channel_probs(wide_spec, "s"), tau)
-        d_a = classical_fi_discrete(single_channel_probs(wide_spec, "a"), tau)
+        f_s, f_a = coherent_channel_fi_analytic(tau)
+        d_s = classical_fi_discrete(single_channel_probs(WIDE_CUTOFF, "s"), tau)
+        d_a = classical_fi_discrete(single_channel_probs(WIDE_CUTOFF, "a"), tau)
         assert d_s == pytest.approx(f_s, rel=1e-6)
         assert d_a == pytest.approx(f_a, rel=1e-6)
 
 
-def test_fi_step_halving_stable(wide_spec):
+def test_fi_step_halving_stable():
     for tau in (0.1, 1.0, 2.5):
-        coarse = classical_fi_discrete(channel_probs(wide_spec), tau, step=1e-4)
-        fine = classical_fi_discrete(channel_probs(wide_spec), tau, step=5e-5)
+        coarse = classical_fi_discrete(channel_probs(WIDE_CUTOFF), tau, step=1e-4)
+        fine = classical_fi_discrete(channel_probs(WIDE_CUTOFF), tau, step=5e-5)
         assert abs(coarse - fine) / fine < 1e-6
 
 
@@ -115,74 +115,73 @@ def test_fi_rejects_negative_probabilities():
 
 
 def test_qfi_constant():
-    assert qfi_constant(PulseSpec(sigma_t=1.0)) == pytest.approx(0.25)
-    assert qfi_constant(PulseSpec(sigma_t=2.0)) == pytest.approx(1.0 / 16.0)
-    assert 1.0 / qfi_constant(PulseSpec(sigma_t=1.0)) == pytest.approx(4.0)
+    assert QFI == pytest.approx(0.25)
+    assert 1.0 / QFI == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
-def test_modified_qfi_matches_channel_fi(spec, grid, tau):
-    f_s, f_a = coherent_channel_fi_analytic(spec, tau)
-    q_s = modified_qfi(lambda t: coherent_modes(spec, t, grid)[0], tau)
-    q_a = modified_qfi(lambda t: coherent_modes(spec, t, grid)[1], tau)
+def test_modified_qfi_matches_channel_fi(tau):
+    f_s, f_a = coherent_channel_fi_analytic(tau)
+    q_s = modified_qfi(lambda t: coherent_modes(t)[0], tau)
+    q_a = modified_qfi(lambda t: coherent_modes(t)[1], tau)
     assert q_s == pytest.approx(f_s, rel=1e-6)
     assert q_a == pytest.approx(f_a, rel=1e-6)
 
 
-def test_modified_qfi_parameter_independent_state(spec, grid):
-    psi = WaveformSamples(grid, gaussian_amplitude(spec, grid))
+def test_modified_qfi_parameter_independent_state(grid):
+    psi = WaveformSamples(grid, gaussian_amplitude(grid))
     value = modified_qfi(lambda t: psi, 0.7)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
-def test_intensity_fi_coherent_sum(spec, tau):
-    fi_s = intensity_fi(lambda t: intensity_profiles(spec, t)[0], tau)
-    fi_a = intensity_fi(lambda t: intensity_profiles(spec, t)[1], tau)
+def test_intensity_fi_coherent_sum(tau):
+    fi_s = intensity_fi(lambda t: intensity_profiles(t)[0], tau)
+    fi_a = intensity_fi(lambda t: intensity_profiles(t)[1], tau)
     assert fi_s + fi_a == pytest.approx(0.25, abs=1e-5)
 
 
-def test_intensity_fi_matches_channel_fi(spec):
+def test_intensity_fi_matches_channel_fi():
     # time-resolved intensity detection of a coherent channel is optimal
     for tau in (0.2, 1.0):
-        f_s, f_a = coherent_channel_fi_analytic(spec, tau)
-        fi_s = intensity_fi(lambda t: intensity_profiles(spec, t)[0], tau)
-        fi_a = intensity_fi(lambda t: intensity_profiles(spec, t)[1], tau)
+        f_s, f_a = coherent_channel_fi_analytic(tau)
+        fi_s = intensity_fi(lambda t: intensity_profiles(t)[0], tau)
+        fi_a = intensity_fi(lambda t: intensity_profiles(t)[1], tau)
         assert fi_s == pytest.approx(f_s, abs=2e-6)
         assert fi_a == pytest.approx(f_a, abs=2e-6)
 
 
-def test_rayleigh_curse_monotone_decay(spec):
-    values = [intensity_fi(lambda t: incoherent_intensity_profile(spec, t), tau)
+def test_rayleigh_curse_monotone_decay():
+    values = [intensity_fi(incoherent_intensity_profile, tau)
               for tau in (1.0, 0.5, 0.2, 0.1, 0.05)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] > 0
 
 
-def test_rayleigh_curse_frozen_fixture(spec):
-    value = intensity_fi(lambda t: incoherent_intensity_profile(spec, t), 0.1)
+def test_rayleigh_curse_frozen_fixture():
+    value = intensity_fi(incoherent_intensity_profile, 0.1)
     assert value == pytest.approx(INCOH_INTENSITY_FI_AT_0P1, rel=1e-6)
-    assert value < 0.01 * qfi_constant(spec)
+    assert value < 0.01 * QFI
 
 
-def test_incoherent_intensity_below_mode_projection(spec):
+def test_incoherent_intensity_below_mode_projection():
     for tau in (0.05, 0.2, 0.5, 0.9):
-        fi_int = intensity_fi(lambda t: incoherent_intensity_profile(spec, t), tau)
+        fi_int = intensity_fi(incoherent_intensity_profile, tau)
         assert fi_int < 0.25
 
 
-def test_per_detection_fi(spec):
+def test_per_detection_fi():
     assert per_detection_fi(0.2, 1.0) == pytest.approx(0.2)
 
     # tau = 2: F_a = 1/8, ||psi_a||^2 = (1/2)(1 - e^{-1/2})
-    _, f_a = coherent_channel_fi_analytic(spec, 2.0)
+    _, f_a = coherent_channel_fi_analytic(2.0)
     fraction = 0.5 * (1.0 - math.exp(-0.5))
     assert per_detection_fi(f_a, fraction) == pytest.approx(0.6354, abs=1e-4)
 
     # anti-phase channel at small tau: per-detection FI far above the QFI
-    _, f_a = coherent_channel_fi_analytic(spec, 0.1)
+    _, f_a = coherent_channel_fi_analytic(0.1)
     fraction = 0.5 * (1.0 - math.exp(-0.1**2 / 8.0))
-    assert per_detection_fi(f_a, fraction) > 100 * qfi_constant(spec)
+    assert per_detection_fi(f_a, fraction) > 100 * QFI
 
     with pytest.warns(RuntimeWarning):
         assert per_detection_fi(0.1, 0.0) == math.inf
@@ -190,15 +189,15 @@ def test_per_detection_fi(spec):
         per_detection_fi(0.1, -0.5)
 
 
-def test_mixed_channel_fi_analytic(spec):
-    f_s, f_a = coherent_channel_fi_analytic(spec, 0.6)
-    m_s, m_a = mixed_channel_fi_analytic(spec, 0.6, 0.375)
+def test_mixed_channel_fi_analytic():
+    f_s, f_a = coherent_channel_fi_analytic(0.6)
+    m_s, m_a = mixed_channel_fi_analytic(0.6, 0.375)
     assert m_s == pytest.approx(0.625 * f_s + 0.375 * f_a)
     assert m_a == pytest.approx(0.375 * f_s + 0.625 * f_a)
 
 
-def test_fisher_report_contents(spec):
-    report = fisher_report(spec, 0.5, 0.25)
+def test_fisher_report_contents():
+    report = fisher_report(0.5, 0.25)
     assert report.fi_total == pytest.approx(0.25, abs=1e-12)
     assert report.crb_per_event == pytest.approx(4.0, abs=1e-9)
     assert report.qfi == pytest.approx(0.25)

@@ -121,6 +121,8 @@ def test_config_validation():
         ExperimentConfig(tau_grid=(-0.1,))
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
+    with pytest.raises(ValueError, match="mode_cutoff"):
+        ExperimentConfig(mode_cutoff=1)
     with pytest.raises(ValueError):
         ExperimentConfig(mean_total_detections=0.0)
     with pytest.raises(ValueError):
