@@ -5,6 +5,7 @@ antisymmetric ("a", anti-phase) channel the odd ones.  Partial coherence is a
 convex mixing of the two channel assignments with weight gamma in [0, 1/2].
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,12 +107,14 @@ def mode_weight(tau, n) -> np.ndarray:
     return np.exp(np.reshape(log_pmf, pairs.shape))
 
 
+@functools.lru_cache(maxsize=1024)
 def hg_projection_probs(mode_cutoff: int, tau: float):
     """Ideal-device HG detection probabilities for both channels, n < mode_cutoff.
 
     The symmetric channel carries p_n(tau) at even n and exact zeros at odd n;
     the antisymmetric channel is the parity complement.  Tail mass beyond the
-    cutoff is reported per channel.
+    cutoff is reported per channel.  Memoized per (mode_cutoff, tau); the
+    probability arrays are read-only.
     """
     n = np.arange(mode_cutoff)
     p = mode_weight(tau, n)
@@ -124,8 +127,17 @@ def hg_projection_probs(mode_cutoff: int, tau: float):
     total_odd = 0.5 * (1.0 - np.exp(-2.0 * x))
     tail_s = max(total_even - probs_s.sum(), 0.0)
     tail_a = max(total_odd - probs_a.sum(), 0.0)
+    probs_s.flags.writeable = probs_a.flags.writeable = False
     return (ChannelDistribution("s", probs_s, tail_s),
             ChannelDistribution("a", probs_a, tail_a))
+
+
+@functools.lru_cache(maxsize=4)
+def _hg_mode_table(mode_cutoff: int) -> np.ndarray:
+    """HG_0 .. HG_(mode_cutoff - 1) sampled on the standard grid, read-only."""
+    modes = np.array([hg_amplitude(k, GRID) for k in range(mode_cutoff)])
+    modes.flags.writeable = False
+    return modes
 
 
 def quadrature_projection_probs(mode_cutoff: int, tau: float,
@@ -136,7 +148,7 @@ def quadrature_projection_probs(mode_cutoff: int, tau: float,
     drift offset breaks the parity structure.
     """
     psi_s, psi_a = coherent_modes(tau, centroid_offset)
-    modes = np.array([hg_amplitude(k, GRID) for k in range(mode_cutoff)])
+    modes = _hg_mode_table(mode_cutoff)
     amp_s = np.trapezoid(modes * psi_s.values, GRID, axis=1)
     amp_a = np.trapezoid(modes * psi_a.values, GRID, axis=1)
     probs_s = amp_s**2

@@ -164,8 +164,9 @@ def read_records(path):
                     continue
                 tau, gamma, run_idx, channel, n, count = row
                 key = (float(tau), float(gamma), int(run_idx))
-                cell = cells.setdefault(key, {"s": [None] * N_RECORDED,
-                                              "a": [None] * N_RECORDED})
+                cell = cells.get(key)
+                if cell is None:
+                    cell = cells[key] = {"s": [None] * N_RECORDED, "a": [None] * N_RECORDED}
                 n = int(n)
                 if not 0 <= n < N_RECORDED:
                     raise ValueError(f"mode index n = {n} outside 0..{N_RECORDED - 1}")

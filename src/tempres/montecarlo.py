@@ -1,11 +1,25 @@
 """Photon-counting Monte Carlo over the (tau, gamma) grid.
 
 Each projection setting is measured sequentially in the experiment, so counts
-are independent Poisson draws per (channel, mode).  Random streams are derived
-counter-style from the master seed and the full cell coordinates, which makes
-every record independent of evaluation order.
+are independent Poisson draws per (channel, mode).  Every draw has its own
+counter-based stream: count n of channel ch (0 = s, 1 = a) in run `run` of
+cell (ti, gi) is
+
+    np.random.default_rng(np.random.SeedSequence(
+        master_seed, spawn_key=(0, ti, gi, run, ch, n))).poisson(mean)
+
+and drift increment j of the cell is the standard normal of spawn key
+(1, ti, gi, j).  So every record is independent of evaluation order.
+
+The sampler works one cell at a time.  It hashes all the cell's spawn keys
+in one vectorized pass (numpy's SeedSequence algorithm, `_stream_words`),
+turns each hash into a PCG64 state with PCG64's own seeding steps, and sets
+that state on one reusable generator before each draw: the same numbers,
+without a SeedSequence and a Generator object per draw.  The no-offset rates
+of a cell are computed once (`detection_rates` is memoized).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +49,17 @@ MAX_POISSON_MEAN = 1e18
 # spawn-key tags keep count streams and drift streams disjoint
 _COUNT_STREAM = 0
 _DRIFT_STREAM = 1
+
+# numpy's SeedSequence: entropy pool of four 32-bit words and its hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 2**32
+
+# PCG64's 128-bit LCG multiplier
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = 2**128 - 1
 
 DEFAULT_TAU_GRID = tuple(i / 6.0 for i in range(7))
 DEFAULT_GAMMAS = (0.0, 0.125, 0.25, 0.375, 0.5)
@@ -111,19 +136,141 @@ def detection_rates(config: ExperimentConfig, tau: float, gamma: float,
                     centroid_offset: float = 0.0):
     """Expected per-projection detection rates (probability units) for one cell.
 
-    Closed-form projections when there is no drift offset; brute-force
-    quadrature otherwise, since an offset breaks the even/odd structure.
+    Closed-form projections when there is no drift offset, memoized per
+    (mode_cutoff, device, dark rate, tau, gamma) and returned read-only;
+    brute-force quadrature otherwise, since an offset breaks the even/odd
+    structure.
     """
-    if centroid_offset == 0.0:
-        ideal_s, ideal_a = hg_projection_probs(config.mode_cutoff, tau)
-    else:
-        ideal_s, ideal_a = quadrature_projection_probs(
-            config.mode_cutoff, tau, centroid_offset=centroid_offset)
-    mixed_s, mixed_a = mixed_projection_probs(ideal_s, ideal_a, gamma)
     dark_norm = config.device.dark_rate / config.mean_total_detections
-    rate_s = apply_device(mixed_s, config.device, dark_norm)
-    rate_a = apply_device(mixed_a, config.device, dark_norm)
-    return rate_s, rate_a
+    if centroid_offset == 0.0:
+        return _no_offset_rates(config.mode_cutoff, config.device, dark_norm, tau, gamma)
+    ideal_s, ideal_a = quadrature_projection_probs(
+        config.mode_cutoff, tau, centroid_offset=centroid_offset)
+    return _device_rates(ideal_s, ideal_a, config.device, dark_norm, gamma)
+
+
+def _device_rates(ideal_s, ideal_a, device, dark_norm, gamma):
+    mixed_s, mixed_a = mixed_projection_probs(ideal_s, ideal_a, gamma)
+    return apply_device(mixed_s, device, dark_norm), apply_device(mixed_a, device, dark_norm)
+
+
+@functools.lru_cache(maxsize=1024)
+def _no_offset_rates(mode_cutoff, device, dark_norm, tau, gamma):
+    ideal_s, ideal_a = hg_projection_probs(mode_cutoff, tau)
+    rates = _device_rates(ideal_s, ideal_a, device, dark_norm, gamma)
+    for rate in rates:
+        rate.flags.writeable = False
+    return rates
+
+
+def _hashmix(value, hash_const, mult=_MULT_A):
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult % _WORD
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _stream_words(master_seed: int, keys) -> np.ndarray:
+    """generate_state(4, np.uint64) of SeedSequence(master_seed, spawn_key=key), per key.
+
+    numpy's SeedSequence hash, vectorized over a 2-D array of equal-length
+    spawn keys, one key per row; row k of the result belongs to keys[k].  The
+    master seed enters as its little-endian 32-bit words, zero-padded to the
+    pool size, and each key value as one word.  numpy would split a key value
+    of 2**32 or more into two words, so such a value raises.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 2 or keys.size == 0:
+        raise ValueError(f"spawn keys must form a nonempty 2-D array, got shape {keys.shape}")
+    if keys.min() < 0 or keys.max() >= _WORD:
+        raise ValueError(f"spawn-key values must lie in [0, 2**32), got {keys.min()} "
+                         f"to {keys.max()}")
+    seed_words = []
+    while True:
+        seed_words.append(master_seed % _WORD)
+        master_seed //= _WORD
+        if not master_seed:
+            break
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    # the master seed's words are the same for every key: hash them once
+    entropy = [np.array([w], dtype=np.uint32) for w in seed_words]
+    entropy += list(keys.astype(np.uint32).T)
+
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)],
+                    axis=1)
+
+
+def _seeded(generator: np.random.Generator, master_seed: int, keys):
+    """Yield `generator` once per spawn key, in the state of a fresh
+    np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key)).
+
+    PCG64 seeds itself from generate_state(4, np.uint64) as a 128-bit seed
+    (words 0, 1) and stream (words 2, 3): inc = 2 stream + 1, and two LCG
+    steps from state 0 with the seed added between them.
+    """
+    if not keys:
+        return
+    bit_generator = generator.bit_generator
+    for seed_hi, seed_lo, seq_hi, seq_lo in _stream_words(master_seed, keys).tolist():
+        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK_128
+        state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK_128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield generator
+
+
+def _drift_offsets(config: ExperimentConfig, tau_index: int, gamma_index: int,
+                   runs, generator: np.random.Generator) -> list:
+    """Centroid offsets of the given runs of one cell.
+
+    Each increment the runs need is drawn once, and each offset sums its
+    period's increments in run order from 0.0.
+    """
+    drift = config.drift
+    if drift is None or drift.std == 0.0:
+        return [0.0] * len(runs)
+    period = drift.recenter_period
+    last = {}   # period start -> last run needed in that period
+    for run in runs:
+        start = run - run % period
+        last[start] = max(last.get(start, start), run)
+    periods = sorted(last.items())
+    rngs = _seeded(generator, config.master_seed,
+                   [(_DRIFT_STREAM, tau_index, gamma_index, j)
+                    for start, end in periods for j in range(start, end)])
+    walk = {}
+    for start, end in periods:
+        offset = walk[start] = 0.0
+        for j in range(start, end):
+            offset += drift.std * next(rngs).standard_normal()
+            walk[j + 1] = offset
+    return [walk[run] for run in runs]
 
 
 def apply_drift(config: ExperimentConfig, tau_index: int, gamma_index: int,
@@ -131,45 +278,42 @@ def apply_drift(config: ExperimentConfig, tau_index: int, gamma_index: int,
     """Centroid offset at a given run: random walk reset every recenter period.
 
     The walk increments come from their own counter-derived streams, so the
-    offset at any run can be reconstructed without replaying earlier runs.
+    offset at any run is rebuilt from the increments of its own period,
+    replayed from the period's start; no other run is needed.
     """
-    drift = config.drift
-    if drift is None or drift.std == 0.0:
-        return 0.0
-    start = (run_index // drift.recenter_period) * drift.recenter_period
-    offset = 0.0
-    for j in range(start, run_index):
-        seq = np.random.SeedSequence(
-            config.master_seed,
-            spawn_key=(_DRIFT_STREAM, tau_index, gamma_index, j))
-        offset += drift.std * np.random.default_rng(seq).standard_normal()
-    return offset
+    generator = np.random.Generator(np.random.PCG64())   # reseeded before each draw
+    return _drift_offsets(config, tau_index, gamma_index, [run_index], generator)[0]
+
+
+def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int,
+                 runs) -> list:
+    """Records of the given runs of one (tau, gamma) cell, in the order given."""
+    tau = config.tau_grid[tau_index]
+    gamma = config.gammas[gamma_index]
+    generator = np.random.Generator(np.random.PCG64())   # reseeded before each draw
+    offsets = _drift_offsets(config, tau_index, gamma_index, runs, generator)
+    rngs = _seeded(generator, config.master_seed,
+                   [(_COUNT_STREAM, tau_index, gamma_index, run, ch_idx, n)
+                    for run in runs for ch_idx in range(2) for n in range(N_RECORDED)])
+    records = []
+    for run, offset in zip(runs, offsets):
+        counts = []
+        for rates in detection_rates(config, tau, gamma, offset):
+            means = config.mean_total_detections * rates[:N_RECORDED]
+            counts.append(tuple(int(next(rngs).poisson(mean)) for mean in means))
+        records.append(DetectionRecord(tau, gamma, run, *counts))
+    return records
 
 
 def sample_run(config: ExperimentConfig, tau_index: int, gamma_index: int,
                run_index: int) -> DetectionRecord:
     """Poisson counts for the first four projections of both channels, one run."""
-    tau = config.tau_grid[tau_index]
-    gamma = config.gammas[gamma_index]
-    offset = apply_drift(config, tau_index, gamma_index, run_index)
-    rate_s, rate_a = detection_rates(config, tau, gamma, offset)
-
-    counts = {}
-    for ch_idx, rates in ((0, rate_s), (1, rate_a)):
-        means = config.mean_total_detections * rates[:N_RECORDED]
-        drawn = []
-        for n in range(N_RECORDED):
-            seq = np.random.SeedSequence(
-                config.master_seed,
-                spawn_key=(_COUNT_STREAM, tau_index, gamma_index, run_index, ch_idx, n))
-            drawn.append(int(np.random.default_rng(seq).poisson(means[n])))
-        counts[ch_idx] = tuple(drawn)
-    return DetectionRecord(tau, gamma, run_index, counts[0], counts[1])
+    return _sample_cell(config, tau_index, gamma_index, [run_index])[0]
 
 
 def run_experiment(config: ExperimentConfig):
     """All records over the full tau x gamma x repetition grid, in grid order."""
-    return [sample_run(config, ti, gi, r)
+    return [record
             for ti in range(len(config.tau_grid))
             for gi in range(len(config.gammas))
-            for r in range(config.repetitions)]
+            for record in _sample_cell(config, ti, gi, range(config.repetitions))]

@@ -210,3 +210,14 @@ def test_device_model_validation():
         DeviceModel(efficiency=0.0)
     with pytest.raises(ValueError):
         DeviceModel(dark_rate=-1.0)
+
+
+def test_hg_projection_probs_are_read_only_and_repeatable():
+    first = hg_projection_probs(MODE_CUTOFF, 0.7)
+    for dist in first:
+        with pytest.raises(ValueError):
+            dist.probs[0] = 1.0
+    again = hg_projection_probs(MODE_CUTOFF, 0.7)
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a.probs, b.probs)
+        assert a.tail_mass == b.tail_mass

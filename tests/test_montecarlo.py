@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempres import DeviceModel, DriftSpec, ExperimentConfig, run_experiment, sample_run
-from tempres.montecarlo import apply_drift, detection_rates
+from tempres.estimator import CALIBRATION_SEED_OFFSET
+from tempres.montecarlo import (
+    DetectionRecord,
+    _drift_offsets,
+    _seeded,
+    _stream_words,
+    apply_drift,
+    detection_rates,
+)
 
 
 def small_config(**overrides):
@@ -135,3 +145,116 @@ def test_device_enters_rates():
     # HG_0 leaks into HG_1 and efficiency halves everything
     assert rate_s[1] == pytest.approx(0.5 * 0.01, rel=1e-12)
     assert rate_s[0] == pytest.approx(0.5 * 0.99, rel=1e-12)
+
+
+def test_detection_rates_are_read_only_and_repeatable():
+    cfg = small_config(device=DeviceModel(crosstalk_eps=0.02, dark_rate=1.0))
+    first = detection_rates(cfg, 0.5, 0.25)
+    for rates in first:
+        with pytest.raises(ValueError):
+            rates[0] = 1.0
+    again = detection_rates(cfg, 0.5, 0.25)
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a, b)
+
+
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, CALIBRATION_SEED_OFFSET + 7, 3**200]
+MAX_WORD = 2**32 - 1
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+@pytest.mark.parametrize("keys", [
+    [(1, 0, 0, 0), (1, 6, 4, 99), (MAX_WORD, 1, MAX_WORD, 0), (0, 0, 0, MAX_WORD)],
+    [(0, 0, 0, 0, 0, 0), (0, 3, 2, 57, 1, 3), (MAX_WORD,) * 6, (0, 1, 2, 2**31, 0, 1)],
+])
+def test_stream_words_match_seed_sequence(master_seed, keys):
+    words = _stream_words(master_seed, keys)
+    assert words.dtype == np.uint64 and words.shape == (len(keys), 4)
+    for key, row in zip(keys, words):
+        expected = np.random.SeedSequence(master_seed, spawn_key=key).generate_state(
+            4, np.uint64)
+        np.testing.assert_array_equal(row, expected)
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+def test_seeded_generator_matches_a_fresh_default_rng(master_seed):
+    keys = [(0, 1, 2, 3, 1, 0), (0, 1, 2, 4, 0, 3), (0, 0, 0, MAX_WORD, 1, 1)]
+    generator = np.random.Generator(np.random.PCG64())
+    for key, rng in zip(keys, _seeded(generator, master_seed, keys)):
+        fresh = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+        assert rng.poisson(12.5, size=3).tolist() == fresh.poisson(12.5, size=3).tolist()
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0, 2**32), (2**32 + 5, 0, 0, 0, 0, 0), (0, -1, 0, 0)])
+def test_spawn_key_word_out_of_range_raises(key):
+    # numpy would split 2**32 into two words; the vectorized hash must not wrap it
+    with pytest.raises(ValueError, match="spawn-key"):
+        _stream_words(0, [key])
+
+
+def reference_rng(config, *key):
+    return np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+
+
+def reference_offset(config, ti, gi, run):
+    """The drift offset, replayed from its period's start with one rng per step."""
+    drift = config.drift
+    if drift is None or drift.std == 0.0:
+        return 0.0
+    start = (run // drift.recenter_period) * drift.recenter_period
+    total = 0.0
+    for j in range(start, run):
+        total += drift.std * reference_rng(config, 1, ti, gi, j).standard_normal()
+    return total
+
+
+def reference_experiment(config):
+    """The per-draw sampler: one default_rng(SeedSequence) per count and drift step."""
+    records = []
+    for ti, tau in enumerate(config.tau_grid):
+        for gi, gamma in enumerate(config.gammas):
+            for run in range(config.repetitions):
+                rates = detection_rates(config, tau, gamma,
+                                        reference_offset(config, ti, gi, run))
+                counts = [tuple(int(reference_rng(config, 0, ti, gi, run, ch, n).poisson(
+                                    config.mean_total_detections * rates[ch][n]))
+                                for n in range(4))
+                          for ch in range(2)]
+                records.append(DetectionRecord(tau, gamma, run, *counts))
+    return records
+
+
+def experiment_configs(drift):
+    return st.builds(
+        ExperimentConfig,
+        tau_grid=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2),
+        gammas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=2),
+        repetitions=st.integers(1, 12),
+        mean_total_detections=st.floats(1.0, 1e5),
+        device=st.builds(DeviceModel, crosstalk_eps=st.floats(0.0, 0.1),
+                         efficiency=st.floats(0.5, 1.0), dark_rate=st.floats(0.0, 5.0)),
+        drift=drift,
+        master_seed=st.one_of(st.integers(0, 2**40), st.integers(2**64, 2**130)),
+    )
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(config=experiment_configs(drift=st.none()))
+def test_run_experiment_matches_the_per_draw_sampler(config):
+    assert run_experiment(config) == reference_experiment(config)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(config=experiment_configs(drift=st.builds(
+    DriftSpec, std=st.floats(0.01, 0.3), recenter_period=st.integers(1, 5))))
+def test_drifted_run_experiment_matches_the_per_draw_sampler(config):
+    assert run_experiment(config) == reference_experiment(config)
+    # an offset a few ulp off rarely moves a count, so compare the offsets bit for bit
+    runs = range(config.repetitions)
+    generator = np.random.Generator(np.random.PCG64())
+    for ti in range(len(config.tau_grid)):
+        for gi in range(len(config.gammas)):
+            expected = [reference_offset(config, ti, gi, run) for run in runs]
+            assert _drift_offsets(config, ti, gi, runs, generator) == expected
+            assert [apply_drift(config, ti, gi, run) for run in runs] == expected
