@@ -133,11 +133,20 @@ def hg_projection_probs(mode_cutoff: int, tau: float):
 
 
 @functools.lru_cache(maxsize=4)
-def _hg_mode_table(mode_cutoff: int) -> np.ndarray:
-    """HG_0 .. HG_(mode_cutoff - 1) sampled on the standard grid, read-only."""
-    modes = np.array([hg_amplitude(k, GRID) for k in range(mode_cutoff)])
-    modes.flags.writeable = False
-    return modes
+def _trapezoid_mode_table(mode_cutoff: int) -> np.ndarray:
+    """HG_0 .. HG_(mode_cutoff - 1) on the standard grid times its trapezoid weights.
+
+    Row k dotted with samples f on GRID is the trapezoid integral of HG_k f,
+    the sum np.trapezoid(HG_k * f, GRID) forms, with its terms regrouped.
+    Read-only.
+    """
+    half_steps = np.diff(GRID) / 2.0
+    weights = np.zeros_like(GRID)
+    weights[:-1] += half_steps
+    weights[1:] += half_steps
+    table = np.array([hg_amplitude(k, GRID) * weights for k in range(mode_cutoff)])
+    table.flags.writeable = False
+    return table
 
 
 def quadrature_projection_probs(mode_cutoff: int, tau: float,
@@ -145,14 +154,14 @@ def quadrature_projection_probs(mode_cutoff: int, tau: float,
     """Projection probabilities computed by brute-force overlap integrals.
 
     Oracle for the closed form when centroid_offset = 0; the only route when a
-    drift offset breaks the parity structure.
+    drift offset breaks the parity structure.  The overlaps are trapezoid
+    integrals on the standard grid: a cached table of HG modes times the
+    trapezoid weights, applied to both channels in one matrix product.
     """
     psi_s, psi_a = coherent_modes(tau, centroid_offset)
-    modes = _hg_mode_table(mode_cutoff)
-    amp_s = np.trapezoid(modes * psi_s.values, GRID, axis=1)
-    amp_a = np.trapezoid(modes * psi_a.values, GRID, axis=1)
-    probs_s = amp_s**2
-    probs_a = amp_a**2
+    amps = _trapezoid_mode_table(mode_cutoff) @ np.stack([psi_s.values, psi_a.values], axis=1)
+    probs_s = amps[:, 0] ** 2
+    probs_a = amps[:, 1] ** 2
     tail_s = max(psi_s.norm_sq() - probs_s.sum(), 0.0)
     tail_a = max(psi_a.norm_sq() - probs_a.sum(), 0.0)
     return (ChannelDistribution("s", probs_s, tail_s),

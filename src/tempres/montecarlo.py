@@ -46,6 +46,16 @@ MAX_MODE_CUTOFF = 64
 # most mean_total_detections + dark_rate
 MAX_POISSON_MEAN = 1e18
 
+# Largest count scale, max(1, mean_total_detections + dark_rate) /
+# mean_total_detections: whenever anything is detected, a run's counts in units
+# of mean_total_detections reach it, times a Poisson tail factor.  The GLS
+# pilot scan and the calibration residuals square such values and the scan sums
+# eight of them, so 8 (2 x tail x scale)^2 must stay below 1.8e308; 1e150 leaves
+# a tail factor of 2,000.  The weighted scan's weights, mean_total_detections /
+# max(mean, 1 / mean_total_detections), bring each of its terms down to about
+# a raw count squared, so it adds no risk.
+MAX_COUNT_SCALE = 1e150
+
 # spawn-key tags keep count streams and drift streams disjoint
 _COUNT_STREAM = 0
 _DRIFT_STREAM = 1
@@ -108,10 +118,14 @@ class ExperimentConfig:
         if not self.device.dark_rate <= MAX_POISSON_MEAN:
             raise ValueError(f"dark_rate must be at most {MAX_POISSON_MEAN:g}, "
                              f"got {self.device.dark_rate}")
-        if math.isinf(self.device.dark_rate / self.mean_total_detections):
-            # detection rates carry the dark rate in units of mean_total_detections
-            raise ValueError(f"dark_rate {self.device.dark_rate} overflows in units of "
-                             f"mean_total_detections {self.mean_total_detections}")
+        count_scale = (max(1.0, self.mean_total_detections + self.device.dark_rate)
+                       / self.mean_total_detections)
+        if not count_scale <= MAX_COUNT_SCALE:
+            raise ValueError(
+                f"counts in units of mean_total_detections reach max(1, "
+                f"mean_total_detections + dark_rate) / mean_total_detections = "
+                f"{count_scale:g}, above MAX_COUNT_SCALE = {MAX_COUNT_SCALE:g}, where the "
+                f"GLS scan's squared residuals overflow")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 

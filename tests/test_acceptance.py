@@ -6,6 +6,7 @@ bit-for-bit deterministic), with tolerance bands that absorb the expected
 statistical fluctuations at 100 runs per setting.
 """
 
+import math
 import time
 
 import numpy as np
@@ -94,6 +95,13 @@ def test_criterion_1_qfi_constancy():
               f"({elapsed:.2f} s)")
 
 
+def displaced_hg_amplitudes(d, mode_cutoff):
+    """HG amplitudes of the unit pulse displaced by d: exp(-a^2/2) a^n / sqrt(n!), a = d/2."""
+    a = d / 2.0
+    n = np.arange(mode_cutoff)
+    return np.exp(-a * a / 2.0) * a**n / np.sqrt([math.factorial(k) for k in n])
+
+
 def test_criterion_2_closed_form_vs_quadrature():
     start = time.perf_counter()
     worst = 0.0
@@ -102,11 +110,23 @@ def test_criterion_2_closed_form_vs_quadrature():
         qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau)
         worst = max(worst, np.abs(s.probs - qs.probs).max(),
                     np.abs(a.probs - qa.probs).max())
+    # a drift offset displaces both pulses; psi_s and psi_a are half the sum and
+    # half the difference of the two displaced pulses
+    worst_offset = 0.0
+    for offset in (0.01, -0.05, 0.2, 1.0):
+        for tau in (0.0, 0.1, 0.4, 1.0, 2.0, 4.0):
+            early = displaced_hg_amplitudes(offset - tau / 2.0, MODE_CUTOFF)
+            late = displaced_hg_amplitudes(offset + tau / 2.0, MODE_CUTOFF)
+            qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau, centroid_offset=offset)
+            worst_offset = max(worst_offset,
+                               np.abs(qs.probs - ((early + late) / 2.0) ** 2).max(),
+                               np.abs(qa.probs - ((early - late) / 2.0) ** 2).max())
     elapsed = time.perf_counter() - start
     assert worst < 1e-8
+    assert worst_offset <= 1e-12
     assert elapsed < 5.0
-    report(2, f"p_n closed form vs quadrature, worst abs err {worst:.2e} "
-              f"({elapsed:.2f} s)")
+    report(2, f"p_n closed form vs quadrature, worst abs err {worst:.2e}, "
+              f"{worst_offset:.2e} with a drift offset ({elapsed:.2f} s)")
 
 
 def test_criterion_3_channel_fi_vs_finite_differences():

@@ -18,7 +18,13 @@ from tempres import (
     mixed_projection_probs,
     quadrature_projection_probs,
 )
-from tempres.channels import ChannelDistribution, check_gamma, mode_weight
+from tempres.channels import (
+    ChannelDistribution,
+    _trapezoid_mode_table,
+    check_gamma,
+    mode_weight,
+)
+from tempres.pulses import GRID, hg_amplitude
 
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
 MODE_CUTOFF = 8
@@ -210,6 +216,28 @@ def test_device_model_validation():
         DeviceModel(efficiency=0.0)
     with pytest.raises(ValueError):
         DeviceModel(dark_rate=-1.0)
+
+
+def test_trapezoid_mode_table_is_read_only_and_shared():
+    table = _trapezoid_mode_table(MODE_CUTOFF)
+    assert table.shape == (MODE_CUTOFF, GRID.size)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert _trapezoid_mode_table(MODE_CUTOFF) is table
+
+
+@pytest.mark.parametrize("mode_cutoff", [4, 8, 64])
+def test_quadrature_matches_per_mode_trapezoid(mode_cutoff):
+    # the overlaps as np.trapezoid integrates them, one mode row at a time
+    modes = np.array([hg_amplitude(k, GRID) for k in range(mode_cutoff)])
+    for offset in (0.0, 0.3, -0.3, 1.0, -1.0):
+        for tau in (0.0, 0.5, 2.0):
+            psis = coherent_modes(tau, offset)
+            for dist, psi in zip(quadrature_projection_probs(mode_cutoff, tau, offset), psis):
+                probs = np.trapezoid(modes * psi.values, GRID, axis=1) ** 2
+                np.testing.assert_allclose(dist.probs, probs, rtol=0, atol=1e-14)
+                tail = max(psi.norm_sq() - probs.sum(), 0.0)
+                assert dist.tail_mass == pytest.approx(tail, rel=0, abs=1e-14)
 
 
 def test_hg_projection_probs_are_read_only_and_repeatable():

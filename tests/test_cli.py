@@ -356,19 +356,56 @@ def test_reproduce_fig2_tracks_diagonal(tmp_path, small_config):
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.parametrize("command", ["estimate", "reproduce"])
-def test_overflowing_scan_objective_exits_4(tmp_path, capsys, command):
-    # counts / mean_total_detections overflow, so the scan minimum is inf; every
-    # estimate used to come out as 0 with exit 0
+def test_overflowing_scan_objective_exits_4(tmp_path, capsys, small_config):
+    # counts of 10**200 load, but squared in units of mean_total_detections they
+    # overflow, so the scan minimum is inf
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(small_config), "--out", str(sim)]) == 0
+    rows = read_csv(sim / "records.csv")
+    with open(sim / "records.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + [row[:-1] + [str(10**200)] for row in rows[1:]])
+    assert main(["estimate", str(sim / "records.csv"), "--config", str(small_config),
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["fisher"], ["simulate"], ["estimate", "records.csv"],
+                                  ["reproduce", "fig2"]],
+                         ids=["fisher", "simulate", "estimate", "reproduce"])
+def test_overflowing_count_scale_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # with dark counts of 1 per projection, one count is 1e300 in units of
+    # mean_total_detections, which overflows when squared
+    def simulate(config):
+        raise AssertionError("simulated past the count-scale limit")
+
+    monkeypatch.setattr(montecarlo, "run_experiment", simulate)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"mean_total_detections": 1e-300,
-                                  "device": {"dark_rate": 1}, "repetitions": 2}))
-    sim = tmp_path / "sim"
-    assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
-    argv = (["estimate", str(sim / "records.csv")] if command == "estimate"
-            else ["reproduce", "fig2"])
-    assert main(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 4
-    assert "overflow" in capsys.readouterr().err
+                                  "device": {"dark_rate": 1}}))
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tempres: ")
+    assert "MAX_COUNT_SCALE" in err[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_count_scale_limit_runs_clean_at_the_bound(tmp_path, capsys):
+    limit = montecarlo.MAX_COUNT_SCALE
+    for data in ({"mean_total_detections": 1 / limit},
+                 {"mean_total_detections": 1e18 / limit, "device": {"dark_rate": 1e18}}):
+        config_mod.from_dict(data)
+    for data in ({"mean_total_detections": 0.5 / limit},
+                 {"mean_total_detections": 1e-140, "device": {"dark_rate": 1e11}}):
+        with pytest.raises(ConfigError, match="MAX_COUNT_SCALE"):
+            config_mod.from_dict(data)
+    # every count is a dark count of about 1e150 in units of mean_total_detections
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mean_total_detections": 1 / limit,
+                                  "device": {"dark_rate": 1}, "repetitions": 3}))
+    assert main(["reproduce", "fig2", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_reproduce_unknown_figure(tmp_path, small_config):
