@@ -10,11 +10,15 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 data mismatch.
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import config as config_mod
@@ -150,49 +154,110 @@ def cmd_simulate(args):
     return 0
 
 
-def read_records(path):
-    """Parse a records.csv back into DetectionRecord objects."""
-    cells = {}
+# records.csv columns as read: int64 counts, so a count must fit in 63 bits
+RECORDS_DTYPE = np.dtype([("tau", "f8"), ("gamma", "f8"), ("run", "i4"),
+                          ("channel", "S2"), ("n", "i1"), ("count", "i8")])
+RECORDS_BLOCK_ROWS = 32768   # lines parsed per np.loadtxt call, to bound its buffers
+
+
+def _read_table(path):
+    """Every data row of a records.csv as one table, after checking its header.
+
+    Blank lines are skipped and fields may be quoted.  A row without exactly
+    six fields, or a value its column cannot hold, is a mismatch.
+    """
+    blocks = []
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path) as fh, warnings.catch_warnings():
+            header = next(csv.reader([fh.readline()]), None)
             if header != RECORDS_HEADER:
                 raise CliError(EXIT_MISMATCH, f"{path}: unexpected header {header}")
-            for row in reader:
-                if not row:
-                    continue
-                tau, gamma, run_idx, channel, n, count = row
-                key = (float(tau), float(gamma), int(run_idx))
-                cell = cells.get(key)
-                if cell is None:
-                    cell = cells[key] = {"s": [None] * N_RECORDED, "a": [None] * N_RECORDED}
-                n = int(n)
-                if not 0 <= n < N_RECORDED:
-                    raise ValueError(f"mode index n = {n} outside 0..{N_RECORDED - 1}")
-                counts = cell[channel]
-                if counts[n] is not None:
-                    raise ValueError(f"repeated row for tau={tau}, gamma={gamma}, "
-                                     f"run={run_idx}, channel={channel}, n={n}")
-                counts[n] = int(count)
+            # numpy before 2.4 reads 2.5 or 1e3 as an integer after this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            first_line = 2
+            while lines := list(itertools.islice(fh, RECORDS_BLOCK_ROWS)):
+                try:
+                    blocks.append(np.loadtxt(lines, dtype=RECORDS_DTYPE, delimiter=",",
+                                             comments=None, quotechar='"', ndmin=1))
+                except (ValueError, DeprecationWarning) as exc:
+                    raise CliError(EXIT_MISMATCH,
+                                   f"{path}: malformed records file in lines {first_line}-"
+                                   f"{first_line + len(lines) - 1}: {exc}") from exc
+                first_line += len(lines)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except (KeyError, ValueError, csv.Error) as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise CliError(EXIT_MISMATCH, f"{path}: malformed records file: {exc}") from exc
+    return np.concatenate(blocks) if blocks else np.empty(0, RECORDS_DTYPE)
 
-    records = []
-    for (tau, gamma, run_idx), counts in sorted(cells.items()):
-        if any(c is None for c in counts["s"] + counts["a"]):
-            raise CliError(EXIT_MISMATCH,
-                           f"{path}: incomplete counts for tau={tau}, gamma={gamma}, "
-                           f"run={run_idx}")
-        try:
-            records.append(DetectionRecord(tau, gamma, run_idx,
-                                           tuple(counts["s"]), tuple(counts["a"])))
-        except ValueError as exc:
-            raise CliError(EXIT_MISMATCH,
-                           f"{path}: tau={tau}, gamma={gamma}, run={run_idx}: {exc}") from exc
-    return records
+
+def _cell_text(table, row):
+    return f"tau={table['tau'][row]}, gamma={table['gamma'][row]}, run={table['run'][row]}"
+
+
+def _cell_counts(table, path):
+    """Each (tau, gamma, run) cell's key columns and its (cells, 8) counts, in key order.
+
+    Checks every row's channel, n and count, then that each cell has exactly
+    one row per (channel, n); rows may come in any order.
+    """
+    channel = table["channel"]
+    antisymmetric = channel == b"a"
+    problems = (
+        ("channel", ~(antisymmetric | (channel == b"s")), "is neither s nor a"),
+        ("n", (table["n"] < 0) | (table["n"] >= N_RECORDED),
+         f"is outside 0..{N_RECORDED - 1}"),
+        ("count", table["count"] < 0, "is negative"))
+    for column, bad, why in problems:
+        if bad.any():
+            row = int(bad.argmax())
+            value = table[column][row]
+            value = value.decode("latin-1") if column == "channel" else int(value)
+            raise CliError(EXIT_MISMATCH, f"{path}: {_cell_text(table, row)}: "
+                                          f"{column} {value!r} {why}")
+
+    # a stable sort, so each cell keeps its rows in file order
+    order = np.lexsort((table["run"], table["gamma"], table["tau"]))
+    table = table[order]
+    starts = np.ones(len(table), dtype=bool)
+    starts[1:] = np.logical_or.reduce([table[key][1:] != table[key][:-1]
+                                       for key in ("tau", "gamma", "run")])
+    first = np.flatnonzero(starts)
+    slot = ((np.cumsum(starts) - 1) * (2 * N_RECORDED)
+            + N_RECORDED * antisymmetric[order] + table["n"])
+    filled = np.bincount(slot, minlength=len(first) * 2 * N_RECORDED)
+    if (filled > 1).any():
+        row = int((filled[slot] > 1).argmax())
+        raise CliError(EXIT_MISMATCH,
+                       f"{path}: repeated row for {_cell_text(table, row)}, "
+                       f"channel={table['channel'][row].decode()}, n={table['n'][row]}")
+    complete = filled.reshape(-1, 2 * N_RECORDED).all(axis=1)
+    if not complete.all():
+        row = first[int(complete.argmin())]
+        raise CliError(EXIT_MISMATCH,
+                       f"{path}: incomplete counts for {_cell_text(table, row)}")
+
+    counts = np.empty((len(first), 2 * N_RECORDED), dtype=np.int64)
+    counts.reshape(-1)[slot] = table["count"]
+    return [table[key][first].tolist() for key in ("tau", "gamma", "run")], counts
+
+
+def read_records(path):
+    """Parse a records.csv back into DetectionRecord objects, ordered by cell.
+
+    The rows are parsed in blocks of RECORDS_BLOCK_ROWS lines into typed
+    columns and checked as arrays: channel s or a, n in 0..3, counts
+    nonnegative integers that fit in int64, and exactly one row per
+    (channel, n) in each (tau, gamma, run) cell, in any row order.  Any
+    violation exits 4 with one message.
+    """
+    keys, counts = _cell_counts(_read_table(path), path)
+    # one column list per count, not one list per cell: the cells' count
+    # tuples are sliced straight from each zipped row
+    rows = zip(*keys, *counts.T.tolist())
+    return [DetectionRecord(*row[:3], row[3:3 + N_RECORDED], row[3 + N_RECORDED:])
+            for row in rows]
 
 
 def _match_grid(records, cfg: mc.ExperimentConfig, path):

@@ -7,6 +7,7 @@ constrained to tau_hat >= 0.  Weights are inverse Poisson variances evaluated
 at a pilot unweighted estimate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,9 +50,22 @@ class CalibrationModel:
     scan_grid: np.ndarray       # (SCAN_POINTS,)
     model_matrix: np.ndarray    # (SCAN_POINTS, 8)
 
+    @functools.cached_property
+    def _horner_rows(self):
+        """Coefficient rows, highest power first, each over all 8 components."""
+        return tuple(np.ascontiguousarray(row) for row in self.coeffs.T[::-1])
+
     def mean_response(self, tau: float) -> np.ndarray:
-        """Calibrated mean normalized counts at one tau, all 8 components."""
-        return npoly.polyval(tau, self.coeffs.T)
+        """Calibrated mean normalized counts at one scalar tau, all 8 components.
+
+        Horner's rule in npoly.polyval's own operation order, starting from
+        the top row plus tau * 0, so the values match polyval bit for bit.
+        """
+        top, *rest = self._horner_rows
+        value = top + tau * 0
+        for row in rest:
+            value = row + value * tau
+        return value
 
 
 class GlsEstimate(NamedTuple):
@@ -86,8 +100,11 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
     records must carry known true separations for the given gamma; at least
     five distinct tau values are required for a degree-4 fit.
     """
-    selected = [r for r in records if r.gamma == gamma]
-    taus = sorted({r.tau_true for r in selected})
+    groups = {}
+    for r in records:
+        if r.gamma == gamma:
+            groups.setdefault(r.tau_true, []).append(r)
+    taus = sorted(groups)
     if len(taus) <= POLY_DEGREE:
         raise CalibrationError(
             f"calibration needs more than {POLY_DEGREE} distinct tau values, "
@@ -96,7 +113,7 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
     means = np.empty((len(taus), 2 * N_RECORDED))
     for i, tau in enumerate(taus):
         rows = np.array([record_components(r, config.mean_total_detections)
-                         for r in selected if r.tau_true == tau])
+                         for r in groups[tau]])
         means[i] = rows.mean(axis=0)
 
     tau_arr = np.asarray(taus)
@@ -117,24 +134,31 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
 def _refine_minimum(grid: np.ndarray, objective: np.ndarray) -> float:
     """Parabolic vertex through the grid minimum and its neighbors.
 
-    A non-finite minimum (argmin picks the first NaN) means the objective
-    overflowed, for example counts / mean_total_detections beyond float
-    range; the scan then locates nothing, so it is an error.
+    The arithmetic runs on Python floats, which round exactly as float64
+    scalars do.  A non-finite minimum (argmin picks the first NaN) means the
+    objective overflowed, for example counts / mean_total_detections beyond
+    float range; the scan then locates nothing, so it is an error.
     """
-    j = int(np.argmin(objective))
-    if not math.isfinite(objective[j]):
-        raise EstimationError(f"GLS scan objective is {objective[j]} at its minimum: the "
+    j = int(objective.argmin())
+    lowest = float(objective[j])
+    if not math.isfinite(lowest):
+        raise EstimationError(f"GLS scan objective is {lowest} at its minimum: the "
                               "counts in units of mean_total_detections overflow")
     if j == 0 or j == len(grid) - 1:
         return float(grid[j])
-    y0, y1, y2 = objective[j - 1], objective[j], objective[j + 1]
+    y0, y1, y2 = objective[j - 1:j + 2].tolist()
     denom = y0 - 2.0 * y1 + y2
     if denom <= 0:
         return float(grid[j])
-    shift = 0.5 * (y0 - y2) / denom
-    h = grid[j + 1] - grid[j]
-    tau = float(grid[j] + np.clip(shift, -1.0, 1.0) * h)
+    shift = min(max(0.5 * (y0 - y2) / denom, -1.0), 1.0)
+    g0, g1 = grid[j:j + 2].tolist()
+    tau = g0 + shift * (g1 - g0)
     return min(max(tau, float(grid[0])), float(grid[-1]))
+
+
+# the pilot scan weights every component alike; shared by every run, so read-only
+_UNIT_WEIGHTS = np.ones(2 * N_RECORDED)
+_UNIT_WEIGHTS.flags.writeable = False
 
 
 def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
@@ -144,15 +168,16 @@ def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
     A pilot unweighted scan locates tau_hat_0; Poisson variances of the
     calibrated means at tau_hat_0 then weight the final scan.  Both scans run
     over [0, SCAN_TAU_MAX] so the tau_hat >= 0 constraint holds by construction.
+    Each scan is one weighted_scan call over the whole model matrix; the
+    refinement and the weights take a few operations on 8-element arrays and
+    Python floats, so a run costs little beyond its two scans.
     """
-    c = record_components(record, config.mean_total_detections)
-    if not np.any(c > 0):
+    n_total = config.mean_total_detections
+    c = record_components(record, n_total)
+    if not (c > 0).any():
         return GlsEstimate(0.0, True)
 
-    ones = np.ones_like(c)
-    pilot = _refine_minimum(cal.scan_grid, weighted_scan(c, ones, cal.model_matrix))
-
-    n_total = config.mean_total_detections
+    pilot = _refine_minimum(cal.scan_grid, weighted_scan(c, _UNIT_WEIGHTS, cal.model_matrix))
     means = np.maximum(cal.mean_response(pilot), 1.0 / n_total)
     weights = n_total / means   # 1 / Var[counts/N] with Var = mean/N
     tau_hat = _refine_minimum(cal.scan_grid, weighted_scan(c, weights, cal.model_matrix))

@@ -15,4 +15,5 @@ def weighted_scan(counts, weights, model):
     weights = np.asarray(weights, dtype=float)
     model = np.asarray(model, dtype=float)
     resid = counts[None, :] - model
-    return np.einsum("jk,k->j", resid * resid, weights)
+    resid *= resid
+    return np.einsum("jk,k->j", resid, weights)

@@ -27,13 +27,18 @@ class WaveformSamples:
         values = np.asarray(self.values)
         if grid.ndim != 1 or values.shape != grid.shape:
             raise ValueError("grid and values must be 1-d arrays of equal length")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
+        if grid is not GRID:   # the standard grid is checked once, where it is built
+            _check_increasing(grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
     def norm_sq(self) -> float:
         return float(np.trapezoid(np.abs(self.values) ** 2, self.grid))
+
+
+def _check_increasing(grid: np.ndarray):
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing")
 
 
 def make_grid(points: int = GRID_POINTS) -> np.ndarray:
@@ -44,6 +49,7 @@ def make_grid(points: int = GRID_POINTS) -> np.ndarray:
 
 # the standard grid, shared by every caller, so it is read-only
 GRID = make_grid()
+_check_increasing(GRID)
 GRID.flags.writeable = False
 
 

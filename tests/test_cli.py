@@ -214,9 +214,13 @@ def test_estimate_missing_records(tmp_path, small_config):
 
 
 @pytest.mark.parametrize("column, value", [
-    ("counts", "-3"), ("counts", "2.5"), ("n", "-1"), ("n", "4"),
+    ("counts", "-3"), ("counts", "2.5"), ("counts", "1e3"), ("n", "-1"), ("n", "4"),
+    ("channel", "x"), ("channel", "ss"),
+    # counts must fit in int64 and be plain ASCII digits
+    ("counts", str(2**63)), ("counts", "1_000"),
     # column None: the row value is added after the eight valid rows
     pytest.param(None, "0.0,0.0,0", id="short-row"),
+    pytest.param(None, "0.5,0,0,s,3,7,7", id="long-row"),
     pytest.param(None, "0.5,0,0,s,3,999999", id="repeated-row"),
 ])
 def test_bad_records_value_is_a_mismatch(tmp_path, column, value):
@@ -355,18 +359,37 @@ def test_reproduce_fig2_tracks_diagonal(tmp_path, small_config):
             assert abs(float(mean) - float(tau_true)) < 2.5 * float(std)
 
 
+def replace_counts(path, count):
+    rows = read_csv(path)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + [row[:-1] + [count] for row in rows[1:]])
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_overflowing_scan_objective_exits_4(tmp_path, capsys, small_config):
-    # counts of 10**200 load, but squared in units of mean_total_detections they
-    # overflow, so the scan minimum is inf
+def test_overflowing_scan_objective_exits_4(tmp_path, capsys):
+    # counts of 10**18 fit in int64 and load, but in units of the smallest
+    # mean_total_detections the count scale allows, 1e-150, they are 1e168,
+    # which overflows when squared, so the scan minimum is inf
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL, "mean_total_detections": 1e-150}))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+    replace_counts(sim / "records.csv", str(10**18))
+    assert main(["estimate", str(sim / "records.csv"), "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "GLS scan objective is inf" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_count_beyond_int64_exits_4_at_read_time(tmp_path, capsys, small_config):
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(small_config), "--out", str(sim)]) == 0
-    rows = read_csv(sim / "records.csv")
-    with open(sim / "records.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows([rows[0]] + [row[:-1] + [str(10**200)] for row in rows[1:]])
+    replace_counts(sim / "records.csv", str(10**200))
     assert main(["estimate", str(sim / "records.csv"), "--config", str(small_config),
                  "--out", str(tmp_path / "out")]) == 4
-    assert "overflow" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tempres: ")
+    assert "malformed records file" in err[0]
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from tempres import CalibrationError, ExperimentConfig, aggregate, calibrate, estimate_gls
 from tempres.channels import mode_weight
 from tempres.estimator import (
+    SCAN_TAU_MAX,
+    GlsEstimate,
     calibration_config,
     expected_detections,
     record_components,
@@ -139,3 +146,104 @@ def test_calibration_config_disjoint_seed(config):
     assert cal_cfg.master_seed != config.master_seed
     assert cal_cfg.repetitions == 10
     assert cal_cfg.tau_grid == config.tau_grid
+
+
+# ------------------------------------------------- reference estimator
+
+def reference_refine_minimum(grid, objective):
+    j = int(np.argmin(objective))
+    assert math.isfinite(objective[j])
+    if j == 0 or j == len(grid) - 1:
+        return float(grid[j])
+    y0, y1, y2 = objective[j - 1], objective[j], objective[j + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if denom <= 0:
+        return float(grid[j])
+    shift = 0.5 * (y0 - y2) / denom
+    h = grid[j + 1] - grid[j]
+    tau = float(grid[j] + np.clip(shift, -1.0, 1.0) * h)
+    return min(max(tau, float(grid[0])), float(grid[-1]))
+
+
+def reference_scan(counts, weights, model):
+    resid = counts[None, :] - model
+    return np.einsum("jk,k->j", resid * resid, weights)
+
+
+def reference_estimate_gls(record, cal, config):
+    """The estimator in its first form: np.clip, npoly.polyval, np.ones_like."""
+    c = record_components(record, config.mean_total_detections)
+    if not np.any(c > 0):
+        return GlsEstimate(0.0, True)
+    ones = np.ones_like(c)
+    pilot = reference_refine_minimum(cal.scan_grid, reference_scan(c, ones, cal.model_matrix))
+    n_total = config.mean_total_detections
+    means = np.maximum(npoly.polyval(pilot, cal.coeffs.T), 1.0 / n_total)
+    weights = n_total / means
+    return GlsEstimate(reference_refine_minimum(
+        cal.scan_grid, reference_scan(c, weights, cal.model_matrix)), False)
+
+
+EQUIVALENCE = ExperimentConfig(tau_grid=TAUS, gammas=(0.0, 0.25), repetitions=20,
+                               mean_total_detections=1e6, master_seed=5)
+_calibrations = []
+
+
+def equivalence_calibrations():
+    """A noiseless and a simulated calibration, built on first use."""
+    if not _calibrations:
+        _calibrations.append(calibrate(noiseless_records(EQUIVALENCE, 0.0), 0.0, EQUIVALENCE))
+        _calibrations.append(calibrate(run_experiment(EQUIVALENCE), 0.25, EQUIVALENCE))
+    return _calibrations
+
+
+def model_counts(tau, noise):
+    """Counts near the mean response at tau (beyond the scan for tau > 2)."""
+    rate_s, rate_a = detection_rates(EQUIVALENCE, tau, 0.0)
+    rates = np.concatenate([rate_s[:4], rate_a[:4]]) * (1.0 + np.asarray(noise))
+    return tuple(int(round(EQUIVALENCE.mean_total_detections * r)) for r in rates)
+
+
+run_counts = st.one_of(
+    st.just((0,) * 8),
+    st.lists(st.integers(0, 3), min_size=8, max_size=8).map(tuple),
+    st.lists(st.integers(0, 2_000_000), min_size=8, max_size=8).map(tuple),
+    st.builds(model_counts, st.floats(0.0, 4.0),
+              st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8)),
+)
+
+
+def same_estimate(a, b):
+    return (type(a.tau_hat) is float and a.tau_hat.hex() == b.tau_hat.hex()
+            and a.low_information == b.low_information)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(counts=run_counts)
+@example(counts=(0,) * 8)
+@example(counts=model_counts(0.0, [0.0] * 8))
+@example(counts=model_counts(3.0, [0.0] * 8))
+def test_estimate_gls_matches_the_reference_bit_for_bit(counts):
+    record = DetectionRecord(0.5, 0.0, 0, counts[:4], counts[4:])
+    for cal in equivalence_calibrations():
+        assert same_estimate(estimate_gls(record, cal, EQUIVALENCE),
+                             reference_estimate_gls(record, cal, EQUIVALENCE))
+
+
+@pytest.mark.parametrize("counts, tau_hat", [
+    ((0,) * 8, 0.0), (model_counts(0.0, [0.0] * 8), 0.0),
+    (model_counts(3.0, [0.0] * 8), SCAN_TAU_MAX)])
+def test_reference_examples_reach_both_scan_edges(counts, tau_hat):
+    # the explicit examples above cover a run without counts and minima at
+    # either end of the scan, where the parabolic refinement is skipped
+    record = DetectionRecord(0.5, 0.0, 0, counts[:4], counts[4:])
+    [cal, _] = equivalence_calibrations()
+    assert reference_estimate_gls(record, cal, EQUIVALENCE).tau_hat == tau_hat
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(tau=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, 2.0, math.inf])))
+def test_mean_response_matches_polyval_bit_for_bit(tau):
+    for cal in equivalence_calibrations():
+        expected = npoly.polyval(tau, cal.coeffs.T)
+        assert cal.mean_response(tau).tobytes() == expected.tobytes()

@@ -122,3 +122,15 @@ def test_waveform_samples_validation(grid):
         WaveformSamples(grid[::-1], np.zeros_like(grid))
     with pytest.raises(ValueError):
         WaveformSamples(grid, np.zeros(len(grid) - 1))
+
+
+def test_standard_grid_is_checked_once_and_other_grids_every_time(grid, monkeypatch):
+    from tempres import pulses
+
+    def refuse(values):
+        raise AssertionError("grid checked again")
+
+    monkeypatch.setattr(pulses, "_check_increasing", refuse)
+    WaveformSamples(pulses.GRID, np.zeros_like(pulses.GRID))
+    with pytest.raises(AssertionError):
+        WaveformSamples(grid, np.zeros_like(grid))   # equal values, another array
