@@ -7,7 +7,6 @@ counting Monte Carlo and constrained GLS estimation of the pulse separation.
 from .channels import (
     ChannelDistribution,
     DeviceModel,
-    IntensityProfile,
     apply_device,
     coherent_modes,
     hg_projection_probs,

@@ -26,13 +26,10 @@ def check_gamma(gamma: float) -> float:
 class ChannelDistribution:
     """Per-mode detection probabilities for one channel at fixed tau."""
 
-    channel: str            # "s" or "a"
     probs: np.ndarray       # P(n | tau), n = 0 .. mode_cutoff - 1
     tail_mass: float        # probability beyond the cutoff, never dropped silently
 
     def __post_init__(self):
-        if self.channel not in ("s", "a"):
-            raise ValueError(f"channel must be 's' or 'a', got {self.channel!r}")
         probs = np.asarray(self.probs, dtype=float)
         if np.any(probs < -1e-15):
             raise ValueError("negative probability in channel distribution")
@@ -59,15 +56,6 @@ class DeviceModel:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.dark_rate < 0:
             raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
-
-
-@dataclass(frozen=True)
-class IntensityProfile:
-    """Time-resolved detection density P(t | tau) = |psi(t)|^2 for one channel."""
-
-    channel: str
-    grid: np.ndarray
-    density: np.ndarray
 
 
 def coherent_modes(tau: float, centroid_offset: float = 0.0):
@@ -107,14 +95,12 @@ def mode_weight(tau, n) -> np.ndarray:
     return np.exp(np.reshape(log_pmf, pairs.shape))
 
 
-@functools.lru_cache(maxsize=1024)
 def hg_projection_probs(mode_cutoff: int, tau: float):
     """Ideal-device HG detection probabilities for both channels, n < mode_cutoff.
 
     The symmetric channel carries p_n(tau) at even n and exact zeros at odd n;
     the antisymmetric channel is the parity complement.  Tail mass beyond the
-    cutoff is reported per channel.  Memoized per (mode_cutoff, tau); the
-    probability arrays are read-only.
+    cutoff is reported per channel.
     """
     n = np.arange(mode_cutoff)
     p = mode_weight(tau, n)
@@ -127,9 +113,7 @@ def hg_projection_probs(mode_cutoff: int, tau: float):
     total_odd = 0.5 * (1.0 - np.exp(-2.0 * x))
     tail_s = max(total_even - probs_s.sum(), 0.0)
     tail_a = max(total_odd - probs_a.sum(), 0.0)
-    probs_s.flags.writeable = probs_a.flags.writeable = False
-    return (ChannelDistribution("s", probs_s, tail_s),
-            ChannelDistribution("a", probs_a, tail_a))
+    return ChannelDistribution(probs_s, tail_s), ChannelDistribution(probs_a, tail_a)
 
 
 @functools.lru_cache(maxsize=4)
@@ -164,8 +148,7 @@ def quadrature_projection_probs(mode_cutoff: int, tau: float,
     probs_a = amps[:, 1] ** 2
     tail_s = max(psi_s.norm_sq() - probs_s.sum(), 0.0)
     tail_a = max(psi_a.norm_sq() - probs_a.sum(), 0.0)
-    return (ChannelDistribution("s", probs_s, tail_s),
-            ChannelDistribution("a", probs_a, tail_a))
+    return ChannelDistribution(probs_s, tail_s), ChannelDistribution(probs_a, tail_a)
 
 
 def mixed_projection_probs(ideal_s: ChannelDistribution, ideal_a: ChannelDistribution,
@@ -177,27 +160,25 @@ def mixed_projection_probs(ideal_s: ChannelDistribution, ideal_a: ChannelDistrib
     """
     g = check_gamma(gamma)
     mixed_s = ChannelDistribution(
-        "s", (1.0 - g) * ideal_s.probs + g * ideal_a.probs,
+        (1.0 - g) * ideal_s.probs + g * ideal_a.probs,
         (1.0 - g) * ideal_s.tail_mass + g * ideal_a.tail_mass)
     mixed_a = ChannelDistribution(
-        "a", g * ideal_s.probs + (1.0 - g) * ideal_a.probs,
+        g * ideal_s.probs + (1.0 - g) * ideal_a.probs,
         g * ideal_s.tail_mass + (1.0 - g) * ideal_a.tail_mass)
     return mixed_s, mixed_a
 
 
 def intensity_profiles(tau: float):
-    """Pointwise |psi_s|^2 and |psi_a|^2 on the standard grid."""
+    """Detection densities P(t | tau) = |psi_s(t)|^2 and |psi_a(t)|^2 on GRID."""
     psi_s, psi_a = coherent_modes(tau)
-    return (IntensityProfile("s", GRID, np.abs(psi_s.values) ** 2),
-            IntensityProfile("a", GRID, np.abs(psi_a.values) ** 2))
+    return np.abs(psi_s.values) ** 2, np.abs(psi_a.values) ** 2
 
 
-def incoherent_intensity_profile(tau: float) -> IntensityProfile:
-    """Intensity of the incoherent mixture, |psi_+|^2 + |psi_-|^2 (unit integral)."""
+def incoherent_intensity_profile(tau: float) -> np.ndarray:
+    """Density of the incoherent mixture on GRID, |psi_+|^2 + |psi_-|^2 (unit integral)."""
     plus = shifted_pulse(tau, +1)
     minus = shifted_pulse(tau, -1)
-    density = np.abs(plus.values) ** 2 + np.abs(minus.values) ** 2
-    return IntensityProfile("incoh", GRID, density)
+    return np.abs(plus.values) ** 2 + np.abs(minus.values) ** 2
 
 
 def apply_device(ideal: ChannelDistribution, dev: DeviceModel,

@@ -14,6 +14,7 @@ import itertools
 import json
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -264,19 +265,32 @@ def _match_grid(records, cfg: mc.ExperimentConfig, path):
     """The records with their grid values replaced by the config's own.
 
     records.csv holds each tau and gamma as fmt() text, which rounds values
-    such as 1/6, so cells are matched in that form.
+    such as 1/6, so cells are matched in that form.  Every (tau, gamma) cell
+    must hold cfg.repetitions runs, and every count, in units of
+    mean_total_detections, must stay within MAX_NORMALIZED_COUNT, past which
+    the GLS scan's squared residuals overflow.
     """
     grid = {(fmt(t), fmt(g)): (t, g) for t in cfg.tau_grid for g in cfg.gammas}
-    have = {(fmt(r.tau_true), fmt(r.gamma)) for r in records}
-    if have != grid.keys():
+    runs = Counter((fmt(r.tau_true), fmt(r.gamma)) for r in records)
+    if runs.keys() != grid.keys():
         raise CliError(EXIT_MISMATCH,
                        f"{path}: records grid does not match config "
-                       f"(records: {len(have)} cells, config: {len(grid)})")
-    runs_per_cell = len(records) / max(len(grid), 1)
-    if runs_per_cell != cfg.repetitions:
-        raise CliError(EXIT_MISMATCH,
-                       f"{path}: {runs_per_cell} runs per cell, config expects "
-                       f"{cfg.repetitions}")
+                       f"(records: {len(runs)} cells, config: {len(grid)})")
+    for tau, gamma in grid:
+        if runs[tau, gamma] != cfg.repetitions:
+            raise CliError(EXIT_MISMATCH,
+                           f"{path}: {runs[tau, gamma]} runs in cell tau={tau}, "
+                           f"gamma={gamma}, config expects {cfg.repetitions}")
+    limit = mc.MAX_NORMALIZED_COUNT * cfg.mean_total_detections
+    for r in records:
+        largest = max(r.counts_s + r.counts_a)
+        if largest > limit:
+            raise CliError(EXIT_MISMATCH,
+                           f"{path}: tau={r.tau_true}, gamma={r.gamma}, run={r.run_index}: "
+                           f"count {largest} is {largest / cfg.mean_total_detections:g} in "
+                           f"units of mean_total_detections, above MAX_NORMALIZED_COUNT = "
+                           f"{mc.MAX_NORMALIZED_COUNT:g}, where the GLS scan's squared "
+                           f"residuals overflow")
     matched = []
     for r in records:
         tau, gamma = grid[fmt(r.tau_true), fmt(r.gamma)]

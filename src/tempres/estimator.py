@@ -43,8 +43,6 @@ class CalibrationModel:
     of component k; model_matrix pre-evaluates all components on scan_grid.
     """
 
-    gamma: float
-    tau_grid: np.ndarray
     coeffs: np.ndarray          # (8, POLY_DEGREE + 1)
     residual_rms: np.ndarray    # (8,)
     scan_grid: np.ndarray       # (SCAN_POINTS,)
@@ -126,9 +124,8 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
 
     scan_grid = np.linspace(0.0, SCAN_TAU_MAX, SCAN_POINTS)
     model_matrix = npoly.polyval(scan_grid, coeffs).T         # (J, 8)
-    return CalibrationModel(gamma=gamma, tau_grid=tau_arr, coeffs=coeffs.T,
-                            residual_rms=residual_rms, scan_grid=scan_grid,
-                            model_matrix=model_matrix)
+    return CalibrationModel(coeffs=coeffs.T, residual_rms=residual_rms,
+                            scan_grid=scan_grid, model_matrix=model_matrix)
 
 
 def _refine_minimum(grid: np.ndarray, objective: np.ndarray) -> float:
@@ -193,7 +190,7 @@ def expected_detections(config: ExperimentConfig, tau: float, gamma: float):
 
 
 def aggregate(tau_hats, tau_true: float, gamma: float,
-              mean_detections_per_run: float | None = None) -> EstimateStats:
+              mean_detections_per_run: float) -> EstimateStats:
     """Sample statistics of a group of estimates at one (tau, gamma) setting."""
     values = np.asarray(list(tau_hats), dtype=float)
     if values.size == 0:
@@ -201,8 +198,7 @@ def aggregate(tau_hats, tau_true: float, gamma: float,
     mean = float(values.mean())
     if values.size > 1:
         variance = float(values.var(ddof=1))
-        var_per_det = (variance * mean_detections_per_run
-                       if mean_detections_per_run is not None else None)
+        var_per_det = variance * mean_detections_per_run
     else:
         variance = None
         var_per_det = None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import check_gamma, incoherent_intensity_profile, intensity_profiles
-from .pulses import WaveformSamples, quadrature_inner_product
+from .pulses import GRID, WaveformSamples, quadrature_inner_product
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -132,16 +132,16 @@ def modified_qfi(state_fn, tau: float, step: float = DEFAULT_FD_STEP) -> float:
 def intensity_fi(profile_fn, tau: float) -> float:
     """FI of a time-resolved intensity measurement, integral (dP/dtau)^2 / P dt.
 
-    profile_fn maps tau to an IntensityProfile; points where both P and its
-    derivative vanish contribute zero.
+    profile_fn maps tau to the detection density P(t | tau) sampled on GRID,
+    which the integral runs over; points where P falls below PROB_FLOOR
+    contribute zero.
     """
-    profile = profile_fn(tau)
-    p = profile.density
-    dp = _central_derivative(lambda t: profile_fn(t).density, tau, DEFAULT_FD_STEP)
+    p = profile_fn(tau)
+    dp = _central_derivative(profile_fn, tau, DEFAULT_FD_STEP)
     integrand = np.zeros_like(p)
     keep = p > PROB_FLOOR
     integrand[keep] = dp[keep] ** 2 / p[keep]
-    return float(np.trapezoid(integrand, profile.grid))
+    return float(np.trapezoid(integrand, GRID))
 
 
 def per_detection_fi(fi: float, detected_fraction: float) -> float:

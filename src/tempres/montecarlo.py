@@ -11,12 +11,13 @@ cell (ti, gi) is
 and drift increment j of the cell is the standard normal of spawn key
 (1, ti, gi, j).  So every record is independent of evaluation order.
 
-The sampler works one cell at a time.  It hashes all the cell's spawn keys
-in one vectorized pass (numpy's SeedSequence algorithm, `_stream_words`),
-turns each hash into a PCG64 state with PCG64's own seeding steps, and sets
-that state on one reusable generator before each draw: the same numbers,
-without a SeedSequence and a Generator object per draw.  The no-offset rates
-of a cell are computed once (`detection_rates` is memoized).
+The sampler works on a contiguous range of runs of one cell, replaying the
+drift walk from the start of the first run's period.  It hashes the range's
+spawn keys in one vectorized pass (numpy's SeedSequence algorithm,
+`_stream_words`), turns each hash into a PCG64 state with PCG64's own seeding
+steps, and sets that state on one reusable generator before each draw: the
+same numbers, without a SeedSequence and a Generator object per draw.  The
+no-offset rates of a cell are computed once (`detection_rates` is memoized).
 """
 
 import functools
@@ -55,6 +56,9 @@ MAX_POISSON_MEAN = 1e18
 # max(mean, 1 / mean_total_detections), bring each of its terms down to about
 # a raw count squared, so it adds no risk.
 MAX_COUNT_SCALE = 1e150
+# so a count read back from records.csv may reach the tail factor times the
+# count scale, in units of mean_total_detections, and no more
+MAX_NORMALIZED_COUNT = 2000 * MAX_COUNT_SCALE
 
 # spawn-key tags keep count streams and drift streams disjoint
 _COUNT_STREAM = 0
@@ -239,16 +243,15 @@ def _stream_words(master_seed: int, keys) -> np.ndarray:
                     axis=1)
 
 
-def _seeded(generator: np.random.Generator, master_seed: int, keys):
-    """Yield `generator` once per spawn key, in the state of a fresh
+def _seeded(master_seed: int, keys):
+    """Yield one generator, reseeded per spawn key to the state of a fresh
     np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key)).
 
     PCG64 seeds itself from generate_state(4, np.uint64) as a 128-bit seed
     (words 0, 1) and stream (words 2, 3): inc = 2 stream + 1, and two LCG
     steps from state 0 with the seed added between them.
     """
-    if not keys:
-        return
+    generator = np.random.Generator(np.random.PCG64())
     bit_generator = generator.bit_generator
     for seed_hi, seed_lo, seq_hi, seq_lo in _stream_words(master_seed, keys).tolist():
         inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK_128
@@ -260,31 +263,28 @@ def _seeded(generator: np.random.Generator, master_seed: int, keys):
 
 
 def _drift_offsets(config: ExperimentConfig, tau_index: int, gamma_index: int,
-                   runs, generator: np.random.Generator) -> list:
-    """Centroid offsets of the given runs of one cell.
+                   runs: range) -> list:
+    """Centroid offsets of a contiguous range of runs of one cell.
 
-    Each increment the runs need is drawn once, and each offset sums its
-    period's increments in run order from 0.0.
+    The walk is replayed from the start of the first run's period: each
+    increment is drawn once, and each period sums its increments in run order
+    from 0.0.
     """
     drift = config.drift
     if drift is None or drift.std == 0.0:
         return [0.0] * len(runs)
     period = drift.recenter_period
-    last = {}   # period start -> last run needed in that period
-    for run in runs:
-        start = run - run % period
-        last[start] = max(last.get(start, start), run)
-    periods = sorted(last.items())
-    rngs = _seeded(generator, config.master_seed,
-                   [(_DRIFT_STREAM, tau_index, gamma_index, j)
-                    for start, end in periods for j in range(start, end)])
-    walk = {}
-    for start, end in periods:
-        offset = walk[start] = 0.0
-        for j in range(start, end):
-            offset += drift.std * next(rngs).standard_normal()
-            walk[j + 1] = offset
-    return [walk[run] for run in runs]
+    walk = range(runs.start - runs.start % period, runs.stop)
+    steps = _seeded(config.master_seed, [(_DRIFT_STREAM, tau_index, gamma_index, run - 1)
+                                         for run in walk if run % period])
+    offsets = []
+    for run in walk:   # walk starts a period, so offset is set before it is read
+        if run % period:
+            offset += drift.std * next(steps).standard_normal()
+        else:
+            offset = 0.0
+        offsets.append(offset)
+    return offsets[runs.start - walk.start:]
 
 
 def apply_drift(config: ExperimentConfig, tau_index: int, gamma_index: int,
@@ -295,18 +295,17 @@ def apply_drift(config: ExperimentConfig, tau_index: int, gamma_index: int,
     offset at any run is rebuilt from the increments of its own period,
     replayed from the period's start; no other run is needed.
     """
-    generator = np.random.Generator(np.random.PCG64())   # reseeded before each draw
-    return _drift_offsets(config, tau_index, gamma_index, [run_index], generator)[0]
+    return _drift_offsets(config, tau_index, gamma_index,
+                          range(run_index, run_index + 1))[0]
 
 
 def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int,
-                 runs) -> list:
-    """Records of the given runs of one (tau, gamma) cell, in the order given."""
+                 runs: range) -> list:
+    """Records of a contiguous range of runs of one (tau, gamma) cell, in run order."""
     tau = config.tau_grid[tau_index]
     gamma = config.gammas[gamma_index]
-    generator = np.random.Generator(np.random.PCG64())   # reseeded before each draw
-    offsets = _drift_offsets(config, tau_index, gamma_index, runs, generator)
-    rngs = _seeded(generator, config.master_seed,
+    offsets = _drift_offsets(config, tau_index, gamma_index, runs)
+    rngs = _seeded(config.master_seed,
                    [(_COUNT_STREAM, tau_index, gamma_index, run, ch_idx, n)
                     for run in runs for ch_idx in range(2) for n in range(N_RECORDED)])
     records = []
@@ -322,7 +321,7 @@ def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int,
 def sample_run(config: ExperimentConfig, tau_index: int, gamma_index: int,
                run_index: int) -> DetectionRecord:
     """Poisson counts for the first four projections of both channels, one run."""
-    return _sample_cell(config, tau_index, gamma_index, [run_index])[0]
+    return _sample_cell(config, tau_index, gamma_index, range(run_index, run_index + 1))[0]
 
 
 def run_experiment(config: ExperimentConfig):

@@ -9,27 +9,8 @@ from . import montecarlo as mc
 
 @dataclass(frozen=True)
 class PipelineResult:
-    records: list              # DetectionRecord
-    calibrations: dict         # gamma -> CalibrationModel
     estimates: list            # (DetectionRecord, GlsEstimate)
     stats: list                # EstimateStats, ordered by (tau, gamma)
-
-
-def build_calibrations(config: mc.ExperimentConfig, records=None,
-                       repetitions: int | None = None):
-    """One CalibrationModel per coherence setting.
-
-    With records=None, fresh calibration runs are simulated from a seed
-    stream disjoint from the estimation data (the default: calibration and
-    estimation never share counts).
-    """
-    if records is None:
-        records = mc.run_experiment(est.calibration_config(config, repetitions))
-    return {g: est.calibrate(records, g, config) for g in config.gammas}
-
-
-def estimate_records(records, calibrations, config: mc.ExperimentConfig):
-    return [(r, est.estimate_gls(r, calibrations[r.gamma], config)) for r in records]
 
 
 def aggregate_estimates(estimates, config: mc.ExperimentConfig):
@@ -46,12 +27,21 @@ def aggregate_estimates(estimates, config: mc.ExperimentConfig):
 def run_pipeline(config: mc.ExperimentConfig, records=None,
                  calibration_records=None,
                  calibration_repetitions: int | None = None) -> PipelineResult:
-    """Full chain from counts to estimator statistics."""
+    """Full chain from counts to estimator statistics.
+
+    With records=None, the records are simulated from config.  One
+    CalibrationModel is fitted per coherence setting from calibration_records;
+    with calibration_records=None, fresh calibration runs
+    (calibration_repetitions per cell, default config.repetitions) are
+    simulated from a seed stream disjoint from the estimation data, so by
+    default calibration and estimation never share counts.
+    """
     if records is None:
         records = mc.run_experiment(config)
-    calibrations = build_calibrations(config, calibration_records,
-                                      calibration_repetitions)
-    estimates = estimate_records(records, calibrations, config)
-    return PipelineResult(records=records, calibrations=calibrations,
-                          estimates=estimates,
-                          stats=aggregate_estimates(estimates, config))
+    if calibration_records is None:
+        calibration_records = mc.run_experiment(
+            est.calibration_config(config, calibration_repetitions))
+    calibrations = {g: est.calibrate(calibration_records, g, config) for g in config.gammas}
+    del calibration_records   # simulated calibration runs are not held while estimating
+    estimates = [(r, est.estimate_gls(r, calibrations[r.gamma], config)) for r in records]
+    return PipelineResult(estimates, aggregate_estimates(estimates, config))

@@ -207,6 +207,26 @@ def test_estimate_grid_mismatch(tmp_path, small_config, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_estimate_checks_the_run_count_of_every_cell(tmp_path, capsys):
+    # move run 2 of cell (0, 0) to cell (0, 0.5): 30 runs over 10 cells, as
+    # expected on average, but 2 runs in one cell and 4 in another
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+    rows = read_csv(sim / "records.csv")
+    for row in rows[1:]:
+        if row[:3] == ["0", "0", "2"]:
+            row[1:3] = ["0.5", "3"]
+    with open(sim / "records.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["estimate", str(sim / "records.csv"), "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "2 runs in cell tau=0, gamma=0, config expects 3" in err[0]
+
+
 def test_estimate_missing_records(tmp_path, small_config):
     code = main(["estimate", str(tmp_path / "nope.csv"),
                  "--config", str(small_config), "--out", str(tmp_path / "est")])
@@ -365,11 +385,11 @@ def replace_counts(path, count):
         csv.writer(fh).writerows([rows[0]] + [row[:-1] + [count] for row in rows[1:]])
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_overflowing_scan_objective_exits_4(tmp_path, capsys):
     # counts of 10**18 fit in int64 and load, but in units of the smallest
     # mean_total_detections the count scale allows, 1e-150, they are 1e168,
-    # which overflows when squared, so the scan minimum is inf
+    # which would overflow when squared: rejected before the scan, without a
+    # numpy warning
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SMALL, "mean_total_detections": 1e-150}))
     sim = tmp_path / "sim"
@@ -377,7 +397,10 @@ def test_overflowing_scan_objective_exits_4(tmp_path, capsys):
     replace_counts(sim / "records.csv", str(10**18))
     assert main(["estimate", str(sim / "records.csv"), "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 4
-    assert "GLS scan objective is inf" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tempres: ")
+    assert "1e+168 in units of mean_total_detections" in err[0]
+    assert "MAX_NORMALIZED_COUNT" in err[0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -460,6 +483,10 @@ def output_digest(tmp_path, argv, data, name):
      "6c7b4f2ca465e986cc2d1e29ee6d93046091a5914c99d53480c48086df2a5a96"),
     (["reproduce", "fig3"], "fig3.csv",
      "ab58d1aedba77c8f1b48137eb584177d7ea1d5103c55776898d36a870fedab5a"),
+    (["reproduce", "fig4"], "fig4.csv",
+     "3deda7e682eb04f7114781da5f8318de2dd800b5c04aa8871a60242ef5e9ec16"),
+    (["reproduce", "fig3", "--svg"], "fig3.svg",
+     "bee5b377d297221319c88613f53680b8fb7b8cefc8c699b7f75d17fb832bc25c"),
 ])
 def test_golden_output_digest(tmp_path, argv, name, sha256):
     # a changed digest means the sampling streams or the estimator arithmetic
@@ -473,3 +500,16 @@ def test_golden_output_digest_drift_device(tmp_path):
             "device": {"crosstalk_eps": 0.02, "efficiency": 0.9, "dark_rate": 1.0}}
     assert (output_digest(tmp_path, ["simulate"], data, "records.csv")
             == "a2d059932ad987d3c59957c02cacc9888c73131a7e0664805097dda9bed897a6")
+
+
+@pytest.mark.parametrize("name, sha256", [
+    ("stats.csv", "c3b34a3566a3e41238a6250c9aca94cb5b14285d4fb93c8608cb3c419799b5ed"),
+    ("estimates.csv", "66eaa75f7e903ef4206d429050b274afaaddb9c743e95cf7acf3710c188fb557"),
+])
+def test_golden_output_digest_estimate(tmp_path, name, sha256):
+    # estimate on simulate's records: the read-back, calibration and GLS path
+    sim = tmp_path / "sim"
+    sim.mkdir()
+    output_digest(sim, ["simulate"], TINY, "records.csv")
+    records = sim / "out" / "records.csv"
+    assert output_digest(tmp_path, ["estimate", str(records)], TINY, name) == sha256

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tempres import CalibrationError, ExperimentConfig, aggregate, calibrate, es
 from tempres.channels import mode_weight
 from tempres.estimator import (
     SCAN_TAU_MAX,
+    EstimationError,
     GlsEstimate,
     calibration_config,
     expected_detections,
@@ -125,6 +127,16 @@ def test_aggregate_edge_cases():
 
     with pytest.raises(ValueError):
         aggregate([], 0.3, 0.0, 1e4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_overflowing_record_raises_estimation_error(config, noiseless_cal):
+    # counts of 10**18 in units of mean_total_detections = 1e-150 are 1e168,
+    # which overflow when the scan squares them, so the scan minimum is inf
+    tiny = replace(config, mean_total_detections=1e-150)
+    record = DetectionRecord(0.5, 0.0, 0, (10**18,) * 4, (10**18,) * 4)
+    with pytest.raises(EstimationError, match="GLS scan objective is inf"):
+        estimate_gls(record, noiseless_cal, tiny)
 
 
 def test_record_components_order(config):

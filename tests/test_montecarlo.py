@@ -179,8 +179,7 @@ def test_stream_words_match_seed_sequence(master_seed, keys):
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
 def test_seeded_generator_matches_a_fresh_default_rng(master_seed):
     keys = [(0, 1, 2, 3, 1, 0), (0, 1, 2, 4, 0, 3), (0, 0, 0, MAX_WORD, 1, 1)]
-    generator = np.random.Generator(np.random.PCG64())
-    for key, rng in zip(keys, _seeded(generator, master_seed, keys)):
+    for key, rng in zip(keys, _seeded(master_seed, keys)):
         fresh = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
         assert rng.bit_generator.state == fresh.bit_generator.state
         assert rng.poisson(12.5, size=3).tolist() == fresh.poisson(12.5, size=3).tolist()
@@ -252,9 +251,8 @@ def test_drifted_run_experiment_matches_the_per_draw_sampler(config):
     assert run_experiment(config) == reference_experiment(config)
     # an offset a few ulp off rarely moves a count, so compare the offsets bit for bit
     runs = range(config.repetitions)
-    generator = np.random.Generator(np.random.PCG64())
     for ti in range(len(config.tau_grid)):
         for gi in range(len(config.gammas)):
             expected = [reference_offset(config, ti, gi, run) for run in runs]
-            assert _drift_offsets(config, ti, gi, runs, generator) == expected
+            assert _drift_offsets(config, ti, gi, runs) == expected
             assert [apply_drift(config, ti, gi, run) for run in runs] == expected
