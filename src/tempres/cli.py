@@ -65,13 +65,13 @@ def _load_config(path, seed=None) -> config_mod.RunConfig:
 
 
 def _load_calibrated_config(args) -> config_mod.RunConfig:
-    """The config of a command that calibrates, which needs enough distinct taus."""
+    """The config of a command that calibrates, which needs enough taus (all distinct)."""
     run = _load_config(args.config, args.seed)
-    distinct = len(set(run.experiment.tau_grid))
-    if distinct <= est.POLY_DEGREE:
+    taus = len(run.experiment.tau_grid)
+    if taus <= est.POLY_DEGREE:
         raise CliError(EXIT_CONFIG,
                        f"tau_grid needs more than {est.POLY_DEGREE} distinct values "
-                       f"for the degree-{est.POLY_DEGREE} calibration, got {distinct}")
+                       f"for the degree-{est.POLY_DEGREE} calibration, got {taus}")
     return run
 
 
@@ -268,7 +268,7 @@ def _match_grid(records, cfg: mc.ExperimentConfig, path):
     such as 1/6, so cells are matched in that form.  Every (tau, gamma) cell
     must hold cfg.repetitions runs, and every count, in units of
     mean_total_detections, must stay within MAX_NORMALIZED_COUNT, past which
-    the GLS scan's squared residuals overflow.
+    the GLS scan objective overflows.
     """
     grid = {(fmt(t), fmt(g)): (t, g) for t in cfg.tau_grid for g in cfg.gammas}
     runs = Counter((fmt(r.tau_true), fmt(r.gamma)) for r in records)
@@ -289,8 +289,8 @@ def _match_grid(records, cfg: mc.ExperimentConfig, path):
                            f"{path}: tau={r.tau_true}, gamma={r.gamma}, run={r.run_index}: "
                            f"count {largest} is {largest / cfg.mean_total_detections:g} in "
                            f"units of mean_total_detections, above MAX_NORMALIZED_COUNT = "
-                           f"{mc.MAX_NORMALIZED_COUNT:g}, where the GLS scan's squared "
-                           f"residuals overflow")
+                           f"{mc.MAX_NORMALIZED_COUNT:g}, where the GLS scan objective "
+                           f"overflows")
     matched = []
     for r in records:
         tau, gamma = grid[fmt(r.tau_true), fmt(r.gamma)]

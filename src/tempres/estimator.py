@@ -40,13 +40,15 @@ class CalibrationModel:
 
     Component order is fixed: channel s projections 0..3, then channel a
     projections 0..3.  coeffs[k] holds the ascending polynomial coefficients
-    of component k; model_matrix pre-evaluates all components on scan_grid.
+    of component k.  scan_terms and scan_powers are weighted_scan's
+    coefficient table and the powers tau^0..tau^8 of scan_grid.
     """
 
     coeffs: np.ndarray          # (8, POLY_DEGREE + 1)
     residual_rms: np.ndarray    # (8,)
     scan_grid: np.ndarray       # (SCAN_POINTS,)
-    model_matrix: np.ndarray    # (SCAN_POINTS, 8)
+    scan_terms: np.ndarray      # (16, 2 * POLY_DEGREE + 1)
+    scan_powers: np.ndarray     # (2 * POLY_DEGREE + 1, SCAN_POINTS)
 
     @functools.cached_property
     def _horner_rows(self):
@@ -122,10 +124,16 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
     fitted = npoly.polyval(tau_arr, coeffs)                   # (8, n_tau)
     residual_rms = np.sqrt(np.mean((fitted.T - means) ** 2, axis=0))
 
+    # weighted_scan's terms in the plain ascending basis, which keeps the
+    # small-tau terms precise (a basis centred inside the scan does not):
+    # each m_k^2 (np.convolve, as npoly.polymul without its trimming), then -2 m_k
+    scan_terms = np.zeros((4 * N_RECORDED, 2 * POLY_DEGREE + 1))
+    scan_terms[:2 * N_RECORDED] = [np.convolve(row, row) for row in coeffs.T]
+    scan_terms[2 * N_RECORDED:, :POLY_DEGREE + 1] = -2.0 * coeffs.T
     scan_grid = np.linspace(0.0, SCAN_TAU_MAX, SCAN_POINTS)
-    model_matrix = npoly.polyval(scan_grid, coeffs).T         # (J, 8)
-    return CalibrationModel(coeffs=coeffs.T, residual_rms=residual_rms,
-                            scan_grid=scan_grid, model_matrix=model_matrix)
+    scan_powers = scan_grid ** np.arange(2 * POLY_DEGREE + 1)[:, None]
+    return CalibrationModel(coeffs=coeffs.T, residual_rms=residual_rms, scan_grid=scan_grid,
+                            scan_terms=scan_terms, scan_powers=scan_powers)
 
 
 def _refine_minimum(grid: np.ndarray, objective: np.ndarray) -> float:
@@ -165,19 +173,22 @@ def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
     A pilot unweighted scan locates tau_hat_0; Poisson variances of the
     calibrated means at tau_hat_0 then weight the final scan.  Both scans run
     over [0, SCAN_TAU_MAX] so the tau_hat >= 0 constraint holds by construction.
-    Each scan is one weighted_scan call over the whole model matrix; the
-    refinement and the weights take a few operations on 8-element arrays and
-    Python floats, so a run costs little beyond its two scans.
+    Each scan is one weighted_scan call, which forms the degree-8 objective's
+    9 coefficients from the run's counts and weights and evaluates them on the
+    whole grid; the refinement and the weights take a few operations on
+    8-element arrays and Python floats, so a run costs little beyond its two
+    scans.
     """
     n_total = config.mean_total_detections
     c = record_components(record, n_total)
-    if not (c > 0).any():
+    if not c.any():
         return GlsEstimate(0.0, True)
 
-    pilot = _refine_minimum(cal.scan_grid, weighted_scan(c, _UNIT_WEIGHTS, cal.model_matrix))
+    terms, powers = cal.scan_terms, cal.scan_powers
+    pilot = _refine_minimum(cal.scan_grid, weighted_scan(c, _UNIT_WEIGHTS, terms, powers))
     means = np.maximum(cal.mean_response(pilot), 1.0 / n_total)
     weights = n_total / means   # 1 / Var[counts/N] with Var = mean/N
-    tau_hat = _refine_minimum(cal.scan_grid, weighted_scan(c, weights, cal.model_matrix))
+    tau_hat = _refine_minimum(cal.scan_grid, weighted_scan(c, weights, terms, powers))
     return GlsEstimate(tau_hat, False)
 
 

@@ -49,12 +49,18 @@ MAX_POISSON_MEAN = 1e18
 
 # Largest count scale, max(1, mean_total_detections + dark_rate) /
 # mean_total_detections: whenever anything is detected, a run's counts in units
-# of mean_total_detections reach it, times a Poisson tail factor.  The GLS
-# pilot scan and the calibration residuals square such values and the scan sums
-# eight of them, so 8 (2 x tail x scale)^2 must stay below 1.8e308; 1e150 leaves
-# a tail factor of 2,000.  The weighted scan's weights, mean_total_detections /
-# max(mean, 1 / mean_total_detections), bring each of its terms down to about
-# a raw count squared, so it adds no risk.
+# of mean_total_detections reach it, times a Poisson tail factor.  The GLS scan
+# evaluates sum_k w_k (c_k - m_k(tau))^2 from its polynomial coefficients in tau,
+# so each coefficient, and each partial sum on the scan grid, is at most
+# sum_k w_k (c_k + M_k)^2, where M_k is the calibrated quartic m_k with its
+# coefficients made positive, at tau = SCAN_TAU_MAX.  m_k fits mean counts of
+# the same scale, and M_k stays near it while that fit is well conditioned on
+# the scan.  At the pilot scan's unit weights that is eight squares of at most
+# 2 x tail x scale, so 8 (2 x tail x scale)^2 must stay below 1.8e308; 1e150
+# leaves a tail factor of 2,000.  The calibration residuals square smaller
+# values.  The final scan's weights, mean_total_detections /
+# max(mean, 1 / mean_total_detections), bring each of its terms down to about a
+# raw count squared, so it adds no risk.
 MAX_COUNT_SCALE = 1e150
 # so a count read back from records.csv may reach the tail factor times the
 # count scale, in units of mean_total_detections, and no more
@@ -111,6 +117,12 @@ class ExperimentConfig:
         if outside:
             raise ValueError(f"tau_grid values must lie in [0, {GRID_TAU_MARGIN:g}], the "
                              f"separations the quadrature grid covers, got {outside[0]}")
+        for key in ("tau_grid", "gammas"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                repeated = next(v for i, v in enumerate(values) if v in values[:i])
+                raise ValueError(f"{key} values must be distinct, got {repeated:g} twice: "
+                                 "one (tau, gamma) cell would hold two sets of runs")
         if not N_RECORDED <= self.mode_cutoff <= MAX_MODE_CUTOFF:
             raise ValueError(f"mode_cutoff must lie in [{N_RECORDED}, {MAX_MODE_CUTOFF}], "
                              f"got {self.mode_cutoff}")
@@ -129,7 +141,7 @@ class ExperimentConfig:
                 f"counts in units of mean_total_detections reach max(1, "
                 f"mean_total_detections + dark_rate) / mean_total_detections = "
                 f"{count_scale:g}, above MAX_COUNT_SCALE = {MAX_COUNT_SCALE:g}, where the "
-                f"GLS scan's squared residuals overflow")
+                f"GLS scan objective overflows")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
@@ -145,9 +157,12 @@ class DetectionRecord:
     counts_a: tuple
 
     def __post_init__(self):
-        for counts in (self.counts_s, self.counts_a):
-            if any(c < 0 or int(c) != c for c in counts):
-                raise ValueError("counts must be nonnegative integers")
+        counts = (*self.counts_s, *self.counts_a)
+        # plain ints, as the sampler and read_records make them, need only the sign test
+        if set(map(type, counts)) == {int} and min(counts) >= 0:
+            return
+        if any(c < 0 or int(c) != c for c in counts):
+            raise ValueError("counts must be nonnegative integers")
 
 
 def detection_rates(config: ExperimentConfig, tau: float, gamma: float,

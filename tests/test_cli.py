@@ -285,15 +285,36 @@ def test_blank_lines_in_records_are_skipped(tmp_path):
 
 @pytest.mark.parametrize("argv", [["estimate", "records.csv"], ["reproduce", "fig2"]])
 def test_short_tau_grid_exits_2_where_calibration_needs_it(tmp_path, capsys, argv):
-    # the quartic calibration needs five distinct taus; 0.5 twice counts once
+    # the quartic calibration needs five distinct taus
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"tau_grid": [0.0, 0.25, 0.5, 0.5, 1.0],
+    config.write_text(json.dumps({"tau_grid": [0.0, 0.25, 0.5, 1.0],
                                   "repetitions": 2}))
     args = ["--config", str(config), "--out", str(tmp_path / "out")]
     assert main(argv + args) == 2
     assert "tau_grid" in capsys.readouterr().err
     for command in ("simulate", "fisher"):
         assert main([command] + args) == 0
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"tau_grid": [0, 0.25, 0.5, 0.5, 0.75, 1]}, "tau_grid"),
+    ({"gammas": [0, 0.25, 0.25, 0.5]}, "gammas"),
+    ({"tau_grid": [0.0, -0.0, 0.5, 0.75, 1.0]}, "tau_grid"),
+])
+@pytest.mark.parametrize("argv", [["simulate"], ["reproduce", "fig2"]])
+def test_repeated_grid_value_exits_2_at_load(tmp_path, capsys, monkeypatch, data, key, argv):
+    # a repeated value would give one (tau, gamma) cell two sets of runs, which
+    # reproduce fig2 would pool into one cell
+    def simulate(config):
+        raise AssertionError("simulated a grid with a repeated value")
+
+    monkeypatch.setattr(montecarlo, "run_experiment", simulate)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tempres: ")
+    assert f"{key} values must be distinct" in err[0]
 
 
 @pytest.mark.parametrize("data", [{"repetitions": 10**12},
@@ -477,14 +498,17 @@ def output_digest(tmp_path, argv, data, name):
 @pytest.mark.parametrize("argv, name, sha256", [
     (["simulate"], "records.csv",
      "98495d996dc47280b9e9d61984adcaaa88fe7d803d572fd29fd3e129cad30e79"),
+    # fig2-fig4 moved when the scan objective came to be evaluated from its
+    # polynomial coefficients: tau_hat rounds differently, and 9, 9 and 4
+    # printed values change in their 12th significant digit
     (["reproduce", "fig2"], "fig2.csv",
-     "08a6a01d8f8e7ecc87681037e62252b1b60a5099443749987dafc7390686dddf"),
+     "df0b1594b75bb404979e19bd9cf1f549cdeb74d0e1dff661f2b864dcca8a36e9"),
     (["fisher"], "fisher_report.csv",
      "6c7b4f2ca465e986cc2d1e29ee6d93046091a5914c99d53480c48086df2a5a96"),
     (["reproduce", "fig3"], "fig3.csv",
-     "ab58d1aedba77c8f1b48137eb584177d7ea1d5103c55776898d36a870fedab5a"),
+     "c2d931699b1ecbfe866ec26969ea15226819ff63dfed181989b88df265766b09"),
     (["reproduce", "fig4"], "fig4.csv",
-     "3deda7e682eb04f7114781da5f8318de2dd800b5c04aa8871a60242ef5e9ec16"),
+     "02d95061ed4efcddb4bd9e5bc658ff161a1e439f3680427e0f69715f212503fa"),
     (["reproduce", "fig3", "--svg"], "fig3.svg",
      "bee5b377d297221319c88613f53680b8fb7b8cefc8c699b7f75d17fb832bc25c"),
 ])
@@ -503,8 +527,10 @@ def test_golden_output_digest_drift_device(tmp_path):
 
 
 @pytest.mark.parametrize("name, sha256", [
-    ("stats.csv", "c3b34a3566a3e41238a6250c9aca94cb5b14285d4fb93c8608cb3c419799b5ed"),
-    ("estimates.csv", "66eaa75f7e903ef4206d429050b274afaaddb9c743e95cf7acf3710c188fb557"),
+    # both moved with the coefficient-form scan objective: one tau_hat and 16
+    # stats values change in their 12th significant digit
+    ("stats.csv", "7fb70747d4c57a936c5aae73bca661cb73902708c7b8a7c49b19ef5cc9b95b8b"),
+    ("estimates.csv", "47ebf3383c2ad177ca7402a70bfb1d757f16858a557685b353fe9c000a4f3b66"),
 ])
 def test_golden_output_digest_estimate(tmp_path, name, sha256):
     # estimate on simulate's records: the read-back, calibration and GLS path

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,26 @@ def test_config_validation():
         DriftSpec(std=-1.0)
 
 
+@pytest.mark.parametrize("counts", [
+    (0, 1, 2, 3), (), (2.0, 0.0, -0.0, 7.0), (np.int64(4), np.uint8(0), 1, 2),
+    (Fraction(4, 2), 1, 1, 1), (True, False, 0, 0)])
+def test_detection_record_accepts_nonnegative_integral_counts(counts):
+    DetectionRecord(0.5, 0.0, 0, counts, (1, 2, 3, 4))
+    DetectionRecord(0.5, 0.0, 0, (1, 2, 3, 4), counts)
+    DetectionRecord(0.5, 0.0, 0, list(counts), np.array([1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("counts, error", [
+    ((0, -1, 2, 3), ValueError), ((0, 1, 2.5, 3), ValueError),
+    ((np.int64(-4), 0, 1, 2), ValueError), ((Fraction(1, 2), 1, 1, 1), ValueError),
+    ((-0.5, 1, 1, 1), ValueError), ((float("nan"), 1, 1, 1), ValueError),
+    ((float("inf"), 1, 1, 1), OverflowError), (("1", 1, 1, 1), TypeError)])
+def test_detection_record_rejects_other_counts(counts, error):
+    for pair in ((counts, (1, 2, 3, 4)), ((1, 2, 3, 4), counts)):
+        with pytest.raises(error):
+            DetectionRecord(0.5, 0.0, 0, *pair)
+
+
 def test_device_enters_rates():
     cfg = small_config(device=DeviceModel(crosstalk_eps=0.02, efficiency=0.5))
     rate_s, _ = detection_rates(cfg, 0.0, 0.0)
@@ -227,8 +249,8 @@ def reference_experiment(config):
 def experiment_configs(drift):
     return st.builds(
         ExperimentConfig,
-        tau_grid=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2),
-        gammas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=2),
+        tau_grid=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2, unique=True),
+        gammas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=2, unique=True),
         repetitions=st.integers(1, 12),
         mean_total_detections=st.floats(1.0, 1e5),
         device=st.builds(DeviceModel, crosstalk_eps=st.floats(0.0, 0.1),
