@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 I/O error, 4 data mismatch.
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import sys
 import warnings
@@ -61,6 +60,16 @@ def _load_config(path, seed=None) -> config_mod.RunConfig:
         except ValueError as exc:
             raise CliError(EXIT_CONFIG, f"--seed: {exc}") from exc
         run = replace(run, experiment=experiment, raw={**run.raw, "master_seed": seed})
+    # the output files hold grid values as fmt() text, so two values that print
+    # alike would write one (tau, gamma) key for two cells
+    for key in ("tau_grid", "gammas"):
+        printed = {}
+        for value in getattr(run.experiment, key):
+            other = printed.setdefault(fmt(value), value)
+            if other != value:
+                raise CliError(EXIT_CONFIG,
+                               f"{key} values {other!r} and {value!r} both print as "
+                               f"{fmt(value)}: the output files could not tell them apart")
     return run
 
 
@@ -158,7 +167,6 @@ def cmd_simulate(args):
 # records.csv columns as read: int64 counts, so a count must fit in 63 bits
 RECORDS_DTYPE = np.dtype([("tau", "f8"), ("gamma", "f8"), ("run", "i4"),
                           ("channel", "S2"), ("n", "i1"), ("count", "i8")])
-RECORDS_BLOCK_ROWS = 32768   # lines parsed per np.loadtxt call, to bound its buffers
 
 
 def _read_table(path):
@@ -167,7 +175,6 @@ def _read_table(path):
     Blank lines are skipped and fields may be quoted.  A row without exactly
     six fields, or a value its column cannot hold, is a mismatch.
     """
-    blocks = []
     try:
         with open(path) as fh, warnings.catch_warnings():
             header = next(csv.reader([fh.readline()]), None)
@@ -176,21 +183,12 @@ def _read_table(path):
             # numpy before 2.4 reads 2.5 or 1e3 as an integer after this warning
             warnings.simplefilter("error", DeprecationWarning)
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            first_line = 2
-            while lines := list(itertools.islice(fh, RECORDS_BLOCK_ROWS)):
-                try:
-                    blocks.append(np.loadtxt(lines, dtype=RECORDS_DTYPE, delimiter=",",
-                                             comments=None, quotechar='"', ndmin=1))
-                except (ValueError, DeprecationWarning) as exc:
-                    raise CliError(EXIT_MISMATCH,
-                                   f"{path}: malformed records file in lines {first_line}-"
-                                   f"{first_line + len(lines) - 1}: {exc}") from exc
-                first_line += len(lines)
+            return np.loadtxt(fh, dtype=RECORDS_DTYPE, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (ValueError, DeprecationWarning, csv.Error) as exc:
         raise CliError(EXIT_MISMATCH, f"{path}: malformed records file: {exc}") from exc
-    return np.concatenate(blocks) if blocks else np.empty(0, RECORDS_DTYPE)
 
 
 def _cell_text(table, row):
@@ -247,11 +245,14 @@ def _cell_counts(table, path):
 def read_records(path):
     """Parse a records.csv back into DetectionRecord objects, ordered by cell.
 
-    The rows are parsed in blocks of RECORDS_BLOCK_ROWS lines into typed
-    columns and checked as arrays: channel s or a, n in 0..3, counts
-    nonnegative integers that fit in int64, and exactly one row per
-    (channel, n) in each (tau, gamma, run) cell, in any row order.  Any
-    violation exits 4 with one message.
+    The rows are parsed by one np.loadtxt call into typed columns and
+    checked as arrays: channel s or a, n in 0..3, counts nonnegative
+    integers that fit in int64, and exactly one row per (channel, n) in each
+    (tau, gamma, run) cell, in any row order.  Any violation exits 4 with one
+    message.  A parse error carries numpy's own "row N", which counts data
+    rows after the header and skips blank lines (from 0 for a value that does
+    not convert, from 1 for a wrong field count), so it is not a line number
+    of the file.
     """
     keys, counts = _cell_counts(_read_table(path), path)
     # one column list per count, not one list per cell: the cells' count

@@ -7,7 +7,6 @@ constrained to tau_hat >= 0.  Weights are inverse Poisson variances evaluated
 at a pilot unweighted estimate.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +20,12 @@ from .montecarlo import N_RECORDED, DetectionRecord, ExperimentConfig, detection
 POLY_DEGREE = 4
 SCAN_POINTS = 1001
 SCAN_TAU_MAX = 2.0      # upper end of the GLS scan, in units of sigma_t
+
+# the scan grid and its powers tau^0..tau^8, shared by every calibration
+SCAN_GRID = np.linspace(0.0, SCAN_TAU_MAX, SCAN_POINTS)
+SCAN_POWERS = SCAN_GRID ** np.arange(2 * POLY_DEGREE + 1)[:, None]
+SCAN_GRID.flags.writeable = False
+SCAN_POWERS.flags.writeable = False
 
 # fresh random streams for self-calibration runs, disjoint from estimation data
 CALIBRATION_SEED_OFFSET = 0x9E3779B97F4A7C15
@@ -40,32 +45,17 @@ class CalibrationModel:
 
     Component order is fixed: channel s projections 0..3, then channel a
     projections 0..3.  coeffs[k] holds the ascending polynomial coefficients
-    of component k.  scan_terms and scan_powers are weighted_scan's
-    coefficient table and the powers tau^0..tau^8 of scan_grid.
+    of component k.  scan_terms is weighted_scan's coefficient table for
+    SCAN_POWERS.
     """
 
     coeffs: np.ndarray          # (8, POLY_DEGREE + 1)
     residual_rms: np.ndarray    # (8,)
-    scan_grid: np.ndarray       # (SCAN_POINTS,)
     scan_terms: np.ndarray      # (16, 2 * POLY_DEGREE + 1)
-    scan_powers: np.ndarray     # (2 * POLY_DEGREE + 1, SCAN_POINTS)
-
-    @functools.cached_property
-    def _horner_rows(self):
-        """Coefficient rows, highest power first, each over all 8 components."""
-        return tuple(np.ascontiguousarray(row) for row in self.coeffs.T[::-1])
 
     def mean_response(self, tau: float) -> np.ndarray:
-        """Calibrated mean normalized counts at one scalar tau, all 8 components.
-
-        Horner's rule in npoly.polyval's own operation order, starting from
-        the top row plus tau * 0, so the values match polyval bit for bit.
-        """
-        top, *rest = self._horner_rows
-        value = top + tau * 0
-        for row in rest:
-            value = row + value * tau
-        return value
+        """Calibrated mean normalized counts at one finite scalar tau, all 8 components."""
+        return self.coeffs @ tau ** np.arange(POLY_DEGREE + 1)
 
 
 class GlsEstimate(NamedTuple):
@@ -130,10 +120,7 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
     scan_terms = np.zeros((4 * N_RECORDED, 2 * POLY_DEGREE + 1))
     scan_terms[:2 * N_RECORDED] = [np.convolve(row, row) for row in coeffs.T]
     scan_terms[2 * N_RECORDED:, :POLY_DEGREE + 1] = -2.0 * coeffs.T
-    scan_grid = np.linspace(0.0, SCAN_TAU_MAX, SCAN_POINTS)
-    scan_powers = scan_grid ** np.arange(2 * POLY_DEGREE + 1)[:, None]
-    return CalibrationModel(coeffs=coeffs.T, residual_rms=residual_rms, scan_grid=scan_grid,
-                            scan_terms=scan_terms, scan_powers=scan_powers)
+    return CalibrationModel(coeffs=coeffs.T, residual_rms=residual_rms, scan_terms=scan_terms)
 
 
 def _refine_minimum(grid: np.ndarray, objective: np.ndarray) -> float:
@@ -184,11 +171,11 @@ def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
     if not c.any():
         return GlsEstimate(0.0, True)
 
-    terms, powers = cal.scan_terms, cal.scan_powers
-    pilot = _refine_minimum(cal.scan_grid, weighted_scan(c, _UNIT_WEIGHTS, terms, powers))
+    terms = cal.scan_terms
+    pilot = _refine_minimum(SCAN_GRID, weighted_scan(c, _UNIT_WEIGHTS, terms, SCAN_POWERS))
     means = np.maximum(cal.mean_response(pilot), 1.0 / n_total)
     weights = n_total / means   # 1 / Var[counts/N] with Var = mean/N
-    tau_hat = _refine_minimum(cal.scan_grid, weighted_scan(c, weights, terms, powers))
+    tau_hat = _refine_minimum(SCAN_GRID, weighted_scan(c, weights, terms, SCAN_POWERS))
     return GlsEstimate(tau_hat, False)
 
 

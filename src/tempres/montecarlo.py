@@ -14,9 +14,8 @@ and drift increment j of the cell is the standard normal of spawn key
 The sampler works on a contiguous range of runs of one cell, replaying the
 drift walk from the start of the first run's period.  It hashes the range's
 spawn keys in one vectorized pass (numpy's SeedSequence algorithm,
-`_stream_words`), turns each hash into a PCG64 state with PCG64's own seeding
-steps, and sets that state on one reusable generator before each draw: the
-same numbers, without a SeedSequence and a Generator object per draw.  The
+`_stream_words`) and hands each hash to numpy's PCG64, which seeds itself
+from it: the same numbers, without a SeedSequence object per draw.  The
 no-offset rates of a cell are computed once (`detection_rates` is memoized).
 """
 
@@ -76,10 +75,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 2**32
-
-# PCG64's 128-bit LCG multiplier
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = 2**128 - 1
 
 DEFAULT_TAU_GRID = tuple(i / 6.0 for i in range(7))
 DEFAULT_GAMMAS = (0.0, 0.125, 0.25, 0.375, 0.5)
@@ -258,23 +253,24 @@ def _stream_words(master_seed: int, keys) -> np.ndarray:
                     axis=1)
 
 
-def _seeded(master_seed: int, keys):
-    """Yield one generator, reseeded per spawn key to the state of a fresh
-    np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key)).
+class _StreamWords(np.random.bit_generator.ISeedSequence):
+    """One spawn key's generate_state(4, np.uint64), for PCG64 to seed itself from."""
 
-    PCG64 seeds itself from generate_state(4, np.uint64) as a 128-bit seed
-    (words 0, 1) and stream (words 2, 3): inc = 2 stream + 1, and two LCG
-    steps from state 0 with the seed added between them.
-    """
-    generator = np.random.Generator(np.random.PCG64())
-    bit_generator = generator.bit_generator
-    for seed_hi, seed_lo, seq_hi, seq_lo in _stream_words(master_seed, keys).tolist():
-        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK_128
-        state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK_128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield generator
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only 4 words of uint64 are stored, got a request for "
+                             f"{n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def _seeded(master_seed: int, keys):
+    """Yield, per spawn key, a generator in the state of a fresh
+    np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))."""
+    for words in _stream_words(master_seed, keys):
+        yield np.random.Generator(np.random.PCG64(_StreamWords(words)))
 
 
 def _drift_offsets(config: ExperimentConfig, tau_index: int, gamma_index: int,

@@ -317,6 +317,27 @@ def test_repeated_grid_value_exits_2_at_load(tmp_path, capsys, monkeypatch, data
     assert f"{key} values must be distinct" in err[0]
 
 
+@pytest.mark.parametrize("data, key, first, second", [
+    ({"tau_grid": [0.1, 0.10000000000001, 0.2, 0.3, 0.4, 0.5]}, "tau_grid",
+     "0.1", "0.10000000000001"),
+    ({"gammas": [0.0, 0.25, 0.2500000000000001]}, "gammas", "0.25", "0.2500000000000001"),
+])
+@pytest.mark.parametrize("argv", [["simulate"], ["fisher"]])
+def test_grid_values_that_print_alike_exit_2_at_load(tmp_path, capsys, data, key, first,
+                                                      second, argv):
+    # the output files write grid values to 12 digits, so these distinct values
+    # would share one printed (tau, gamma) key: simulate's records would read
+    # back as repeated rows, and fisher would write two rows for one key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tempres: ")
+    assert f"{key} values {first} and {second}" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("data", [{"repetitions": 10**12},
                                   {"calibration": {"repetitions": 10**12}}])
 @pytest.mark.parametrize("argv", [["fisher"], ["simulate"], ["estimate", "records.csv"],
@@ -498,17 +519,18 @@ def output_digest(tmp_path, argv, data, name):
 @pytest.mark.parametrize("argv, name, sha256", [
     (["simulate"], "records.csv",
      "98495d996dc47280b9e9d61984adcaaa88fe7d803d572fd29fd3e129cad30e79"),
-    # fig2-fig4 moved when the scan objective came to be evaluated from its
-    # polynomial coefficients: tau_hat rounds differently, and 9, 9 and 4
-    # printed values change in their 12th significant digit
+    # fig2-fig4 moved when mean_response came to be evaluated as one product
+    # with the powers of tau instead of by Horner's rule: the pilot's weights,
+    # and so tau_hat, round differently (by at most 3.3e-14 over 35,000 runs),
+    # and 6, 8 and 3 printed values change in their last digits
     (["reproduce", "fig2"], "fig2.csv",
-     "df0b1594b75bb404979e19bd9cf1f549cdeb74d0e1dff661f2b864dcca8a36e9"),
+     "31c5443bb5e533297309f85deb67bf4db3af4e6ea520e6d712be3b143e0771b6"),
     (["fisher"], "fisher_report.csv",
      "6c7b4f2ca465e986cc2d1e29ee6d93046091a5914c99d53480c48086df2a5a96"),
     (["reproduce", "fig3"], "fig3.csv",
-     "c2d931699b1ecbfe866ec26969ea15226819ff63dfed181989b88df265766b09"),
+     "3d1c6fe401900b81cd6e67c291eb50b81e148e01904e8dfa254b299c9a7492ea"),
     (["reproduce", "fig4"], "fig4.csv",
-     "02d95061ed4efcddb4bd9e5bc658ff161a1e439f3680427e0f69715f212503fa"),
+     "960f4935a3cb4d01cae1fa61dc3587d9516a01c7d3f92b194c2035a17df45a90"),
     (["reproduce", "fig3", "--svg"], "fig3.svg",
      "bee5b377d297221319c88613f53680b8fb7b8cefc8c699b7f75d17fb832bc25c"),
 ])
@@ -527,10 +549,10 @@ def test_golden_output_digest_drift_device(tmp_path):
 
 
 @pytest.mark.parametrize("name, sha256", [
-    # both moved with the coefficient-form scan objective: one tau_hat and 16
-    # stats values change in their 12th significant digit
-    ("stats.csv", "7fb70747d4c57a936c5aae73bca661cb73902708c7b8a7c49b19ef5cc9b95b8b"),
-    ("estimates.csv", "47ebf3383c2ad177ca7402a70bfb1d757f16858a557685b353fe9c000a4f3b66"),
+    # both moved with mean_response's product form, as fig2-fig4 did: one
+    # tau_hat and 16 stats values change in their last printed digits
+    ("stats.csv", "1292c1a2edc942f89ccad7ee2d44b3d4209e9b9a662e3194256d2e45a75465d5"),
+    ("estimates.csv", "66eaa75f7e903ef4206d429050b274afaaddb9c743e95cf7acf3710c188fb557"),
 ])
 def test_golden_output_digest_estimate(tmp_path, name, sha256):
     # estimate on simulate's records: the read-back, calibration and GLS path

@@ -11,6 +11,7 @@ from tempres.montecarlo import (
     DetectionRecord,
     _drift_offsets,
     _seeded,
+    _StreamWords,
     _stream_words,
     apply_drift,
     detection_rates,
@@ -205,6 +206,17 @@ def test_seeded_generator_matches_a_fresh_default_rng(master_seed):
         fresh = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
         assert rng.bit_generator.state == fresh.bit_generator.state
         assert rng.poisson(12.5, size=3).tolist() == fresh.poisson(12.5, size=3).tolist()
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                             (8, np.uint64), (4, np.int64), (0, np.uint64)])
+def test_stream_words_serve_only_four_uint64_words(n_words, dtype):
+    # they hold exactly what PCG64 asks for; any other request must not be
+    # answered with those four words
+    stream = _StreamWords(_stream_words(3, [(0, 1, 2, 3)])[0])
+    assert stream.generate_state(4, np.uint64) is stream.words
+    with pytest.raises(ValueError, match="4 words of uint64"):
+        stream.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("key", [(0, 0, 0, 2**32), (2**32 + 5, 0, 0, 0, 0, 0), (0, -1, 0, 0)])
