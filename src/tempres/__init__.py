@@ -26,27 +26,16 @@ from .estimator import (
 from .information import (
     QFI,
     FisherReport,
-    classical_fi_discrete,
     coherent_channel_fi_analytic,
     fisher_report,
     intensity_fi,
-    modified_qfi,
-    per_detection_fi,
 )
 from .montecarlo import (
     DetectionRecord,
     DriftSpec,
     ExperimentConfig,
     run_experiment,
-    sample_run,
 )
-from .pulses import (
-    WaveformSamples,
-    gaussian_amplitude,
-    hg_amplitude,
-    make_grid,
-    quadrature_inner_product,
-    shifted_pulse,
-)
+from .pulses import gaussian_amplitude, hg_amplitude
 
 __version__ = "0.1.0"

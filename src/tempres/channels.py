@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import GRID, WaveformSamples, gaussian_amplitude, hg_amplitude, shifted_pulse
+from .pulses import GRID, gaussian_amplitude, hg_amplitude
 
 GAMMA_MIN, GAMMA_MAX = 0.0, 0.5
 
@@ -59,18 +59,17 @@ class DeviceModel:
 
 
 def coherent_modes(tau: float, centroid_offset: float = 0.0):
-    """Symmetric / antisymmetric superpositions of the two shifted pulses.
+    """Symmetric / antisymmetric superpositions of the two shifted pulses, on GRID.
 
-    psi_s = (psi_+ + psi_-)/sqrt(2), psi_a = (psi_+ - psi_-)/sqrt(2); with the
-    1/sqrt(2) component weights, ||psi_s||^2 + ||psi_a||^2 = 1.  An optional
-    joint centroid offset models timing drift between signal and gating.
+    psi_s = (psi_+ + psi_-)/sqrt(2), psi_a = (psi_+ - psi_-)/sqrt(2), with
+    psi_+/- = g(t +/- tau/2)/sqrt(2); with these weights,
+    ||psi_s||^2 + ||psi_a||^2 = 1.  An optional joint centroid offset models
+    timing drift between signal and gating.
     """
     t = GRID - centroid_offset
     plus = gaussian_amplitude(t + tau / 2.0) / np.sqrt(2.0)
     minus = gaussian_amplitude(t - tau / 2.0) / np.sqrt(2.0)
-    psi_s = WaveformSamples(GRID, (plus + minus) / np.sqrt(2.0))
-    psi_a = WaveformSamples(GRID, (plus - minus) / np.sqrt(2.0))
-    return psi_s, psi_a
+    return (plus + minus) / np.sqrt(2.0), (plus - minus) / np.sqrt(2.0)
 
 
 def _xlogy(n, x) -> float:
@@ -143,11 +142,11 @@ def quadrature_projection_probs(mode_cutoff: int, tau: float,
     trapezoid weights, applied to both channels in one matrix product.
     """
     psi_s, psi_a = coherent_modes(tau, centroid_offset)
-    amps = _trapezoid_mode_table(mode_cutoff) @ np.stack([psi_s.values, psi_a.values], axis=1)
+    amps = _trapezoid_mode_table(mode_cutoff) @ np.stack([psi_s, psi_a], axis=1)
     probs_s = amps[:, 0] ** 2
     probs_a = amps[:, 1] ** 2
-    tail_s = max(psi_s.norm_sq() - probs_s.sum(), 0.0)
-    tail_a = max(psi_a.norm_sq() - probs_a.sum(), 0.0)
+    tail_s = max(np.trapezoid(psi_s**2, GRID) - probs_s.sum(), 0.0)
+    tail_a = max(np.trapezoid(psi_a**2, GRID) - probs_a.sum(), 0.0)
     return ChannelDistribution(probs_s, tail_s), ChannelDistribution(probs_a, tail_a)
 
 
@@ -168,17 +167,34 @@ def mixed_projection_probs(ideal_s: ChannelDistribution, ideal_a: ChannelDistrib
     return mixed_s, mixed_a
 
 
+def _shifted_pair(tau: float):
+    """a = g(t + tau/2), b = g(t - tau/2) on GRID and their tau-derivatives.
+
+    g'(t) = -t g(t) / 2, so da/dtau = -(t + tau/2) a / 4 and
+    db/dtau = +(t - tau/2) b / 4.
+    """
+    early, late = GRID + tau / 2.0, GRID - tau / 2.0
+    a, b = gaussian_amplitude(early), gaussian_amplitude(late)
+    return a, b, -early * a / 4.0, late * b / 4.0
+
+
 def intensity_profiles(tau: float):
-    """Detection densities P(t | tau) = |psi_s(t)|^2 and |psi_a(t)|^2 on GRID."""
-    psi_s, psi_a = coherent_modes(tau)
-    return np.abs(psi_s.values) ** 2, np.abs(psi_a.values) ** 2
+    """Detection densities |psi_s|^2 and |psi_a|^2 on GRID, each as (P, dP/dtau).
+
+    P_s = ((a + b)/2)^2 and P_a = ((a - b)/2)^2 in the terms of _shifted_pair.
+    """
+    a, b, da, db = _shifted_pair(tau)
+    return ((((a + b) / 2.0) ** 2, (a + b) * (da + db) / 2.0),
+            (((a - b) / 2.0) ** 2, (a - b) * (da - db) / 2.0))
 
 
-def incoherent_intensity_profile(tau: float) -> np.ndarray:
-    """Density of the incoherent mixture on GRID, |psi_+|^2 + |psi_-|^2 (unit integral)."""
-    plus = shifted_pulse(tau, +1)
-    minus = shifted_pulse(tau, -1)
-    return np.abs(plus.values) ** 2 + np.abs(minus.values) ** 2
+def incoherent_intensity_profile(tau: float):
+    """Density of the incoherent mixture on GRID as (P, dP/dtau).
+
+    P = |psi_+|^2 + |psi_-|^2 = (a^2 + b^2)/2 in the terms of _shifted_pair (unit integral).
+    """
+    a, b, da, db = _shifted_pair(tau)
+    return (a**2 + b**2) / 2.0, a * da + b * db
 
 
 def apply_device(ideal: ChannelDistribution, dev: DeviceModel,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 import warnings
 from collections import Counter
@@ -169,11 +170,17 @@ RECORDS_DTYPE = np.dtype([("tau", "f8"), ("gamma", "f8"), ("run", "i4"),
                           ("channel", "S2"), ("n", "i1"), ("count", "i8")])
 
 
+def _load_rows(lines):
+    return np.loadtxt(lines, dtype=RECORDS_DTYPE, delimiter=",", comments=None,
+                      quotechar='"', ndmin=1)
+
+
 def _read_table(path):
     """Every data row of a records.csv as one table, after checking its header.
 
     Blank lines are skipped and fields may be quoted.  A row without exactly
-    six fields, or a value its column cannot hold, is a mismatch.
+    six fields, or a value its column cannot hold, is a mismatch, reported
+    with its line in the file.
     """
     try:
         with open(path) as fh, warnings.catch_warnings():
@@ -183,8 +190,21 @@ def _read_table(path):
             # numpy before 2.4 reads 2.5 or 1e3 as an integer after this warning
             warnings.simplefilter("error", DeprecationWarning)
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(fh, dtype=RECORDS_DTYPE, delimiter=",", comments=None,
-                              quotechar='"', ndmin=1)
+            try:
+                return _load_rows(fh)
+            except (ValueError, DeprecationWarning) as exc:
+                # numpy's "at row N" counts neither the header nor blank lines,
+                # from 0 or from 1 by the kind of error: find the line that fails alone
+                fh.seek(0)
+                fh.readline()
+                for number, line in enumerate(fh, start=2):
+                    try:
+                        _load_rows([line])
+                    except (ValueError, DeprecationWarning) as line_exc:
+                        message = re.sub(r" at row [0-9]+", "", str(line_exc))
+                        raise CliError(EXIT_MISMATCH, f"{path}:{number}: malformed "
+                                                      f"records file: {message}") from exc
+                raise
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     except (ValueError, DeprecationWarning, csv.Error) as exc:
@@ -249,10 +269,7 @@ def read_records(path):
     checked as arrays: channel s or a, n in 0..3, counts nonnegative
     integers that fit in int64, and exactly one row per (channel, n) in each
     (tau, gamma, run) cell, in any row order.  Any violation exits 4 with one
-    message.  A parse error carries numpy's own "row N", which counts data
-    rows after the header and skips blank lines (from 0 for a value that does
-    not convert, from 1 for a wrong field count), so it is not a line number
-    of the file.
+    message, which names the file line of a row that does not parse.
     """
     keys, counts = _cell_counts(_read_table(path), path)
     # one column list per count, not one list per cell: the cells' count
@@ -347,7 +364,7 @@ def _bound_series(cfg: mc.ExperimentConfig):
     for tau in cfg.tau_grid:
         if tau <= 0:
             continue   # Rayleigh's curse: bound diverges at tau = 0
-        fi = intensity_fi(incoherent_intensity_profile, tau)
+        fi = intensity_fi(*incoherent_intensity_profile(tau))
         if fi > 0:
             int_crb.append((tau, 1.0 / fi))
     return {"qcrb": [(tau, 1.0 / QFI) for tau in cfg.tau_grid],

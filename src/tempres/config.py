@@ -72,6 +72,23 @@ def _integer(value, key):
     return int(value)
 
 
+def _number(value, key):
+    """A JSON number; a boolean or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} = {value} is too large for a float") from None
+
+
+def _numbers(values, key):
+    """A JSON array of numbers, as a tuple of floats."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be an array of numbers, got {values!r}")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
 def _check_runs(experiment: ExperimentConfig, repetitions: int, key: str):
     # reproduce runs the five default gammas whatever the config lists
     cells = len(experiment.tau_grid) * max(len(experiment.gammas), len(DEFAULT_GAMMAS))
@@ -86,20 +103,19 @@ def from_dict(data: dict) -> RunConfig:
         drift = None
         if merged["drift"] is not None:
             drift_merged = _merge(_DRIFT_DEFAULTS, merged["drift"], "drift.")
-            drift = DriftSpec(std=float(drift_merged["std"]),
+            drift = DriftSpec(std=_number(drift_merged["std"], "drift std"),
                               recenter_period=_integer(drift_merged["recenter_period"],
                                                        "drift.recenter_period"))
             merged["drift"] = drift_merged
         experiment = ExperimentConfig(
             mode_cutoff=_integer(merged["mode_cutoff"], "mode_cutoff"),
-            tau_grid=tuple(float(t) for t in merged["tau_grid"]),
-            gammas=tuple(float(g) for g in merged["gammas"]),
+            tau_grid=_numbers(merged["tau_grid"], "tau_grid"),
+            gammas=_numbers(merged["gammas"], "gammas"),
             repetitions=_integer(merged["repetitions"], "repetitions"),
-            mean_total_detections=float(merged["mean_total_detections"]),
-            device=DeviceModel(
-                crosstalk_eps=float(merged["device"]["crosstalk_eps"]),
-                efficiency=float(merged["device"]["efficiency"]),
-                dark_rate=float(merged["device"]["dark_rate"])),
+            mean_total_detections=_number(merged["mean_total_detections"],
+                                          "mean_total_detections"),
+            device=DeviceModel(**{key: _number(value, f"device.{key}")
+                                  for key, value in merged["device"].items()}),
             drift=drift,
             master_seed=_integer(merged["master_seed"], "master_seed"),
         )

@@ -329,12 +329,6 @@ def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int,
     return records
 
 
-def sample_run(config: ExperimentConfig, tau_index: int, gamma_index: int,
-               run_index: int) -> DetectionRecord:
-    """Poisson counts for the first four projections of both channels, one run."""
-    return _sample_cell(config, tau_index, gamma_index, range(run_index, run_index + 1))[0]
-
-
 def run_experiment(config: ExperimentConfig):
     """All records over the full tau x gamma x repetition grid, in grid order."""
     return [record

@@ -1,6 +1,6 @@
 import pytest
 
-from tempres import make_grid
+from oracles import make_grid
 
 
 @pytest.fixture(scope="session")

@@ -12,23 +12,22 @@ import time
 import numpy as np
 import pytest
 
+from oracles import WaveformSamples, channel_probs, classical_fi_discrete, modified_qfi
 from tempres import (
     DeviceModel,
     QFI,
     ExperimentConfig,
-    classical_fi_discrete,
     coherent_channel_fi_analytic,
     coherent_modes,
     hg_projection_probs,
     incoherent_intensity_profile,
     intensity_fi,
-    mixed_projection_probs,
-    modified_qfi,
     quadrature_projection_probs,
 )
 from tempres import pipeline
 from tempres.cli import main
 from tempres.estimator import expected_detections
+from tempres.pulses import GRID
 
 SEED = 9
 TAUS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)   # seven shifts, 0.1 sigma_t smallest
@@ -38,7 +37,7 @@ CAL_REPETITIONS = 400
 QCRB_PER_DETECTION = 4.0                          # 4 sigma_t^2
 VAR_BAND = (0.8 * QCRB_PER_DETECTION, 2.0 * QCRB_PER_DETECTION)
 
-INCOH_INTENSITY_FI_AT_0P1 = 1.2437913060e-3       # frozen quadrature oracle value
+INCOH_INTENSITY_FI_AT_0P1 = 1.2437913060e-3       # frozen finite-difference value
 
 MODE_CUTOFF = 8                                   # the default model cutoff
 WIDE_CUTOFF = 16                                  # negligible truncation to tau = 3
@@ -75,16 +74,9 @@ def crosstalk_run():
 def test_criterion_1_qfi_constancy():
     start = time.perf_counter()
 
-    def mixed_probs(gamma):
-        def fn(tau):
-            s, a = hg_projection_probs(WIDE_CUTOFF, tau)
-            ms, ma = mixed_projection_probs(s, a, gamma)
-            return np.concatenate([ms.probs, ma.probs])
-        return fn
-
     worst = 0.0
     for gamma in GAMMAS:
-        fn = mixed_probs(gamma)
+        fn = channel_probs(WIDE_CUTOFF, gamma)
         for tau in np.linspace(0.05, 3.0, 25):
             total = classical_fi_discrete(fn, tau)
             worst = max(worst, abs(total - QFI) / QFI)
@@ -131,19 +123,12 @@ def test_criterion_2_closed_form_vs_quadrature():
 
 def test_criterion_3_channel_fi_vs_finite_differences():
     start = time.perf_counter()
-
-    def channel(which):
-        def fn(tau):
-            s, a = hg_projection_probs(WIDE_CUTOFF, tau)
-            return (s if which == "s" else a).probs
-        return fn
-
     worst = 0.0
     for tau in np.linspace(0.05, 3.0, 25):
         f_s, f_a = coherent_channel_fi_analytic(tau)
-        worst = max(worst,
-                    abs(classical_fi_discrete(channel("s"), tau) - f_s) / f_s,
-                    abs(classical_fi_discrete(channel("a"), tau) - f_a) / f_a)
+        d_s, d_a = (classical_fi_discrete(channel_probs(WIDE_CUTOFF, channels=ch), tau)
+                    for ch in "sa")
+        worst = max(worst, abs(d_s - f_s) / f_s, abs(d_a - f_a) / f_a)
     elapsed = time.perf_counter() - start
     assert worst < 1e-6
     assert elapsed < 5.0
@@ -156,8 +141,8 @@ def test_criterion_4_modified_qfi_optimality():
     worst = 0.0
     for tau in (0.1, 0.5, 1.0, 2.0):
         f_s, f_a = coherent_channel_fi_analytic(tau)
-        q_s = modified_qfi(lambda t: coherent_modes(t)[0], tau)
-        q_a = modified_qfi(lambda t: coherent_modes(t)[1], tau)
+        q_s = modified_qfi(lambda t: WaveformSamples(GRID, coherent_modes(t)[0]), tau)
+        q_a = modified_qfi(lambda t: WaveformSamples(GRID, coherent_modes(t)[1]), tau)
         worst = max(worst, abs(q_s - f_s) / f_s, abs(q_a - f_a) / f_a)
     elapsed = time.perf_counter() - start
     assert worst < 1e-5
@@ -168,7 +153,7 @@ def test_criterion_4_modified_qfi_optimality():
 
 def test_criterion_5_rayleigh_curse():
     start = time.perf_counter()
-    values = {tau: intensity_fi(incoherent_intensity_profile, tau)
+    values = {tau: intensity_fi(*incoherent_intensity_profile(tau))
               for tau in (1.0, 0.5, 0.2, 0.1, 0.05)}
     ordered = [values[t] for t in (1.0, 0.5, 0.2, 0.1, 0.05)]
     elapsed = time.perf_counter() - start
@@ -186,7 +171,7 @@ def test_criterion_6_crb_saturation(ideal_run):
     for tau in TAUS:
         v = stats[(tau, 0.0)].variance_per_detection
         assert lo <= v <= hi, f"tau={tau}: variance per detection {v}"
-    fi_int = intensity_fi(incoherent_intensity_profile, 0.1)
+    fi_int = intensity_fi(*incoherent_intensity_profile(0.1))
     intensity_crb = 1.0 / fi_int
     v01 = stats[(0.1, 0.0)].variance_per_detection
     assert v01 * 5.0 <= intensity_crb
@@ -201,7 +186,7 @@ def test_criterion_7_crosstalk_signature(crosstalk_run):
     smallest = min(TAUS)
     v_incoh = stats[(smallest, 0.5)].variance_per_detection
     v_coh = stats[(smallest, 0.0)].variance_per_detection
-    fi_int = intensity_fi(incoherent_intensity_profile, smallest)
+    fi_int = intensity_fi(*incoherent_intensity_profile(smallest))
     assert v_incoh > v_coh
     assert v_incoh < 1.0 / fi_int
     assert elapsed < 120.0

@@ -33,15 +33,15 @@ WIDE_CUTOFF = 16
 
 def test_coherent_modes_tau_zero():
     psi_s, psi_a = coherent_modes(0.0)
-    assert np.abs(psi_a.values).max() == 0.0
-    assert psi_s.norm_sq() == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(psi_a).max() == 0.0
+    assert np.trapezoid(psi_s**2, GRID) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
 def test_antisymmetric_norm_closed_form(tau):
     _, psi_a = coherent_modes(tau)
     expected = 0.5 * (1.0 - np.exp(-tau**2 / 8.0))
-    assert psi_a.norm_sq() == pytest.approx(expected, abs=1e-10)
+    assert np.trapezoid(psi_a**2, GRID) == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
@@ -50,17 +50,16 @@ def test_mode_parity_in_time(grid, tau):
     mid = len(grid) // 2
     psi_s, psi_a = coherent_modes(tau, centroid_offset=grid[mid])
     k = np.arange(1, mid)
-    np.testing.assert_allclose(psi_s.values[mid - k], psi_s.values[mid + k],
-                               rtol=0, atol=1e-15)
-    np.testing.assert_allclose(psi_a.values[mid - k], -psi_a.values[mid + k],
-                               rtol=0, atol=1e-15)
-    assert psi_a.values[mid] == 0.0
+    np.testing.assert_allclose(psi_s[mid - k], psi_s[mid + k], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(psi_a[mid - k], -psi_a[mid + k], rtol=0, atol=1e-15)
+    assert psi_a[mid] == 0.0
 
 
 def test_norm_split_between_channels():
     for tau in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
         psi_s, psi_a = coherent_modes(tau)
-        assert psi_s.norm_sq() + psi_a.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        total = np.trapezoid(psi_s**2, GRID) + np.trapezoid(psi_a**2, GRID)
+        assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_projection_probs_tau_zero():
@@ -169,13 +168,13 @@ def test_gamma_range_check():
 
 
 def test_intensity_profiles_tau_zero():
-    _, anti = intensity_profiles(0.0)
-    assert np.abs(anti).max() == 0.0
+    _, (anti, d_anti) = intensity_profiles(0.0)
+    assert np.abs(anti).max() == np.abs(d_anti).max() == 0.0
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
 def test_intensity_profiles_unit_total(grid, tau):
-    sym, anti = intensity_profiles(tau)
+    (sym, _), (anti, _) = intensity_profiles(tau)
     total = np.trapezoid(sym, grid) + np.trapezoid(anti, grid)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert np.all(sym >= 0) and np.all(anti >= 0)
@@ -183,7 +182,7 @@ def test_intensity_profiles_unit_total(grid, tau):
 
 def test_incoherent_profile_unit_total(grid):
     for tau in (0.1, 1.0, 2.0):
-        density = incoherent_intensity_profile(tau)
+        density, _ = incoherent_intensity_profile(tau)
         assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -234,9 +233,9 @@ def test_quadrature_matches_per_mode_trapezoid(mode_cutoff):
         for tau in (0.0, 0.5, 2.0):
             psis = coherent_modes(tau, offset)
             for dist, psi in zip(quadrature_projection_probs(mode_cutoff, tau, offset), psis):
-                probs = np.trapezoid(modes * psi.values, GRID, axis=1) ** 2
+                probs = np.trapezoid(modes * psi, GRID, axis=1) ** 2
                 np.testing.assert_allclose(dist.probs, probs, rtol=0, atol=1e-14)
-                tail = max(psi.norm_sq() - probs.sum(), 0.0)
+                tail = max(np.trapezoid(psi**2, GRID) - probs.sum(), 0.0)
                 assert dist.tail_mass == pytest.approx(tail, rel=0, abs=1e-14)
 
 

@@ -107,13 +107,25 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"device": {"dark_rate": "inf"}}, "dark_rate"),
     ({"mean_total_detections": 5e-324, "device": {"dark_rate": 1.0}}, "dark_rate"),
     ({"calibration": None}, "calibration"),
+    # numeric fields take JSON numbers only, and the grids JSON arrays
+    pytest.param({"tau_grid": "01234"}, "tau_grid", id="string-tau_grid"),
+    pytest.param({"gammas": "0"}, "gammas", id="string-gammas"),
+    pytest.param({"tau_grid": [0, 0.5, 0.75, 1.5, True]}, "tau_grid[4]", id="bool-in-tau_grid"),
+    pytest.param({"gammas": [0.5, False]}, "gammas[1]", id="bool-in-gammas"),
+    pytest.param({"mean_total_detections": "1e4"}, "mean_total_detections",
+                 id="string-mean_total_detections"),
+    pytest.param({"mean_total_detections": 10**400}, "mean_total_detections",
+                 id="huge-int-mean_total_detections"),
+    pytest.param({"drift": {"std": True}}, "drift std", id="bool-drift-std"),
+    pytest.param({"device": {"efficiency": True}}, "device.efficiency", id="bool-efficiency"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     code = main(["fisher", "--config", str(path), "--out", str(tmp_path / "f")])
     assert code == 2
-    assert key in capsys.readouterr().err
+    [err] = capsys.readouterr().err.splitlines()
+    assert key in err
 
 
 # ------------------------------------------------------------- fisher
@@ -126,8 +138,10 @@ def test_fisher_csv(tmp_path, small_config):
                        "fi_int_s", "fi_int_a", "fi_int_incoh", "crb_per_event"]
     assert len(rows) - 1 == len(SMALL["tau_grid"]) * len(SMALL["gammas"])
     by_key = {(float(r[0]), float(r[1])): r for r in rows[1:]}
-    for key, row in by_key.items():
+    for (tau, _), row in by_key.items():
         assert float(row[4]) == pytest.approx(0.25, rel=1e-6)     # fi_total
+        if tau == 0:   # the intensity FI vanishes exactly there (Rayleigh's curse)
+            assert row[6:9] == ["0", "0", "0"]
         assert float(row[9]) == pytest.approx(4.0, rel=1e-6)      # crb_per_event
     assert float(by_key[(0.0, 0.0)][2]) == 0.0                    # fi_s at tau=0
     assert float(by_key[(0.1, 0.5)][8]) < 0.0025                  # Rayleigh curse
@@ -281,6 +295,17 @@ def test_blank_lines_in_records_are_skipped(tmp_path):
     path.write_text("tau_true,gamma,run,channel,n,counts\n\n" + "\n\n".join(rows) + "\n\n")
     [record] = read_records(path)
     assert record.counts_s == record.counts_a == (7, 7, 7, 7)
+
+
+@pytest.mark.parametrize("bad_row", ["0.5,0,0,s,1,x", "0.5,0,0,s,1,7,7"],
+                         ids=["value", "field-count"])
+def test_malformed_row_names_its_file_line(tmp_path, bad_row):
+    # the header and the blank line count: the bad row is line 4 of the file
+    path = tmp_path / "records.csv"
+    path.write_text(f"tau_true,gamma,run,channel,n,counts\n\n0.5,0,0,s,0,7\n{bad_row}\n")
+    with pytest.raises(CliError, match=r"records\.csv:4: malformed records file") as exc:
+        read_records(path)
+    assert exc.value.code == 4 and " row " not in str(exc.value)
 
 
 @pytest.mark.parametrize("argv", [["estimate", "records.csv"], ["reproduce", "fig2"]])
@@ -525,12 +550,16 @@ def output_digest(tmp_path, argv, data, name):
     # and 6, 8 and 3 printed values change in their last digits
     (["reproduce", "fig2"], "fig2.csv",
      "31c5443bb5e533297309f85deb67bf4db3af4e6ea520e6d712be3b143e0771b6"),
+    # fisher_report.csv, and the intensity_crb rows of fig3.csv and fig4.csv,
+    # moved when intensity_fi came to integrate the closed-form density
+    # derivatives instead of a finite difference: the intensity FI reads 0 at
+    # tau = 0 (it read about 1e-23) and other values change in their last digits
     (["fisher"], "fisher_report.csv",
-     "6c7b4f2ca465e986cc2d1e29ee6d93046091a5914c99d53480c48086df2a5a96"),
+     "6acc76840c418d3fb9b57ae594dfee41aba2d835b627d8a8b1e6fcedc047c9dc"),
     (["reproduce", "fig3"], "fig3.csv",
-     "3d1c6fe401900b81cd6e67c291eb50b81e148e01904e8dfa254b299c9a7492ea"),
+     "a5a7baea5ee40c5d2faebc9e4c90b66f2b3a4770064ac4a83a9b093b983d692d"),
     (["reproduce", "fig4"], "fig4.csv",
-     "960f4935a3cb4d01cae1fa61dc3587d9516a01c7d3f92b194c2035a17df45a90"),
+     "4d6890f8c22956d08b40dcc5c0ee923a3377ccbf71800ae41dc95455565db609"),
     (["reproduce", "fig3", "--svg"], "fig3.svg",
      "bee5b377d297221319c88613f53680b8fb7b8cefc8c699b7f75d17fb832bc25c"),
 ])

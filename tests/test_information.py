@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    WaveformSamples,
+    channel_probs,
+    classical_fi_discrete,
+    fd_intensity_fi,
+    modified_qfi,
+    per_detection_fi,
+)
 from tempres import (
     QFI,
-    WaveformSamples,
-    classical_fi_discrete,
     coherent_channel_fi_analytic,
     coherent_modes,
     fisher_report,
@@ -15,38 +21,18 @@ from tempres import (
     incoherent_intensity_profile,
     intensity_fi,
     intensity_profiles,
-    mixed_projection_probs,
-    modified_qfi,
-    per_detection_fi,
 )
 from tempres.information import FisherReport, mixed_channel_fi_analytic
+from tempres.pulses import GRID
 
 # enough modes that truncation is negligible up to tau = 3 sigma_t
 WIDE_CUTOFF = 16
 TAU_GRID = np.linspace(0.05, 3.0, 25)
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
 
-# quadrature value of the incoherent intensity FI at tau = 0.1 sigma_t,
-# frozen from the oracle run (Rayleigh's curse: ~0.5% of the quantum FI)
+# quadrature value of the incoherent intensity FI at tau = 0.1 sigma_t, frozen
+# from the finite-difference oracle (Rayleigh's curse: ~0.5% of the quantum FI)
 INCOH_INTENSITY_FI_AT_0P1 = 1.2437913060e-3
-
-
-def channel_probs(mode_cutoff, gamma=None):
-    def fn(tau):
-        s, a = hg_projection_probs(mode_cutoff, tau)
-        if gamma is not None:
-            s, a = mixed_projection_probs(s, a, gamma)
-        return np.concatenate([s.probs, a.probs])
-    return fn
-
-
-def single_channel_probs(mode_cutoff, which, gamma=None):
-    def fn(tau):
-        s, a = hg_projection_probs(mode_cutoff, tau)
-        if gamma is not None:
-            s, a = mixed_projection_probs(s, a, gamma)
-        return (s if which == "s" else a).probs
-    return fn
 
 
 def test_incoherent_fi_saturates_quantum_bound():
@@ -56,7 +42,7 @@ def test_incoherent_fi_saturates_quantum_bound():
 
 
 def test_symmetric_channel_fi_vanishes_at_zero():
-    fi = classical_fi_discrete(single_channel_probs(WIDE_CUTOFF, "s"), 0.0)
+    fi = classical_fi_discrete(channel_probs(WIDE_CUTOFF, channels="s"), 0.0)
     assert fi == pytest.approx(0.0, abs=1e-10)
 
 
@@ -96,8 +82,8 @@ def test_analytic_sum_constant():
 def test_analytic_vs_finite_difference():
     for tau in TAU_GRID:
         f_s, f_a = coherent_channel_fi_analytic(tau)
-        d_s = classical_fi_discrete(single_channel_probs(WIDE_CUTOFF, "s"), tau)
-        d_a = classical_fi_discrete(single_channel_probs(WIDE_CUTOFF, "a"), tau)
+        d_s = classical_fi_discrete(channel_probs(WIDE_CUTOFF, channels="s"), tau)
+        d_a = classical_fi_discrete(channel_probs(WIDE_CUTOFF, channels="a"), tau)
         assert d_s == pytest.approx(f_s, rel=1e-6)
         assert d_a == pytest.approx(f_a, rel=1e-6)
 
@@ -122,8 +108,8 @@ def test_qfi_constant():
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
 def test_modified_qfi_matches_channel_fi(tau):
     f_s, f_a = coherent_channel_fi_analytic(tau)
-    q_s = modified_qfi(lambda t: coherent_modes(t)[0], tau)
-    q_a = modified_qfi(lambda t: coherent_modes(t)[1], tau)
+    q_s = modified_qfi(lambda t: WaveformSamples(GRID, coherent_modes(t)[0]), tau)
+    q_a = modified_qfi(lambda t: WaveformSamples(GRID, coherent_modes(t)[1]), tau)
     assert q_s == pytest.approx(f_s, rel=1e-6)
     assert q_a == pytest.approx(f_a, rel=1e-6)
 
@@ -136,8 +122,7 @@ def test_modified_qfi_parameter_independent_state(grid):
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
 def test_intensity_fi_coherent_sum(tau):
-    fi_s = intensity_fi(lambda t: intensity_profiles(t)[0], tau)
-    fi_a = intensity_fi(lambda t: intensity_profiles(t)[1], tau)
+    fi_s, fi_a = (intensity_fi(*profile) for profile in intensity_profiles(tau))
     assert fi_s + fi_a == pytest.approx(0.25, abs=1e-5)
 
 
@@ -145,28 +130,42 @@ def test_intensity_fi_matches_channel_fi():
     # time-resolved intensity detection of a coherent channel is optimal
     for tau in (0.2, 1.0):
         f_s, f_a = coherent_channel_fi_analytic(tau)
-        fi_s = intensity_fi(lambda t: intensity_profiles(t)[0], tau)
-        fi_a = intensity_fi(lambda t: intensity_profiles(t)[1], tau)
+        fi_s, fi_a = (intensity_fi(*profile) for profile in intensity_profiles(tau))
         assert fi_s == pytest.approx(f_s, abs=2e-6)
         assert fi_a == pytest.approx(f_a, abs=2e-6)
 
 
+PROFILES = {"s": lambda tau: intensity_profiles(tau)[0],
+            "a": lambda tau: intensity_profiles(tau)[1],
+            "incoherent": incoherent_intensity_profile}
+
+
+@pytest.mark.parametrize("which", PROFILES)
+def test_intensity_fi_closed_form_matches_finite_differences(which):
+    profile = PROFILES[which]
+    for tau in np.linspace(0.05, 4.0, 80):
+        expected = fd_intensity_fi(lambda t: profile(t)[0], tau)
+        assert intensity_fi(*profile(tau)) == pytest.approx(expected, rel=1e-9)
+    # the finite difference leaves about 1e-23 here
+    assert intensity_fi(*profile(0.0)) == 0.0
+
+
 def test_rayleigh_curse_monotone_decay():
-    values = [intensity_fi(incoherent_intensity_profile, tau)
+    values = [intensity_fi(*incoherent_intensity_profile(tau))
               for tau in (1.0, 0.5, 0.2, 0.1, 0.05)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] > 0
 
 
 def test_rayleigh_curse_frozen_fixture():
-    value = intensity_fi(incoherent_intensity_profile, 0.1)
+    value = intensity_fi(*incoherent_intensity_profile(0.1))
     assert value == pytest.approx(INCOH_INTENSITY_FI_AT_0P1, rel=1e-6)
     assert value < 0.01 * QFI
 
 
 def test_incoherent_intensity_below_mode_projection():
     for tau in (0.05, 0.2, 0.5, 0.9):
-        fi_int = intensity_fi(incoherent_intensity_profile, tau)
+        fi_int = intensity_fi(*incoherent_intensity_profile(tau))
         assert fi_int < 0.25
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempres import DeviceModel, DriftSpec, ExperimentConfig, run_experiment, sample_run
+from oracles import sample_run
+from tempres import DeviceModel, DriftSpec, ExperimentConfig, run_experiment
 from tempres.estimator import CALIBRATION_SEED_OFFSET
 from tempres.montecarlo import (
     DetectionRecord,

