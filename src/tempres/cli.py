@@ -75,13 +75,18 @@ def _load_config(path, seed=None) -> config_mod.RunConfig:
 
 
 def _load_calibrated_config(args) -> config_mod.RunConfig:
-    """The config of a command that calibrates, which needs enough taus (all distinct)."""
+    """The config of a command that estimates: enough distinct taus, none past the scan."""
     run = _load_config(args.config, args.seed)
     taus = len(run.experiment.tau_grid)
     if taus <= est.POLY_DEGREE:
         raise CliError(EXIT_CONFIG,
                        f"tau_grid needs more than {est.POLY_DEGREE} distinct values "
                        f"for the degree-{est.POLY_DEGREE} calibration, got {taus}")
+    beyond = [t for t in run.experiment.tau_grid if t > est.SCAN_TAU_MAX]
+    if beyond:
+        raise CliError(EXIT_CONFIG, f"tau_grid value {beyond[0]:g} lies past SCAN_TAU_MAX = "
+                                    f"{est.SCAN_TAU_MAX:g}, where the GLS scan ends: its "
+                                    f"estimates would all read {est.SCAN_TAU_MAX:g}")
     return run
 
 

@@ -18,7 +18,6 @@ class ConfigError(ValueError):
 _EXPERIMENT = ExperimentConfig()
 
 DEFAULTS = {
-    "mode_cutoff": _EXPERIMENT.mode_cutoff,
     "tau_grid": list(_EXPERIMENT.tau_grid),
     "gammas": list(_EXPERIMENT.gammas),
     "repetitions": _EXPERIMENT.repetitions,
@@ -108,7 +107,6 @@ def from_dict(data: dict) -> RunConfig:
                                                        "drift.recenter_period"))
             merged["drift"] = drift_merged
         experiment = ExperimentConfig(
-            mode_cutoff=_integer(merged["mode_cutoff"], "mode_cutoff"),
             tau_grid=_numbers(merged["tau_grid"], "tau_grid"),
             gammas=_numbers(merged["gammas"], "gammas"),
             repetitions=_integer(merged["repetitions"], "repetitions"),
@@ -122,6 +120,9 @@ def from_dict(data: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     cal = merged["calibration"]
+    if not isinstance(cal["reuse_records"], bool):
+        raise ConfigError(f"calibration.reuse_records must be true or false, "
+                          f"got {cal['reuse_records']!r}")
     cal_reps = cal["repetitions"]
     if cal_reps is not None:
         cal_reps = _integer(cal_reps, "calibration.repetitions")
@@ -131,7 +132,7 @@ def from_dict(data: dict) -> RunConfig:
     _check_runs(experiment, experiment.repetitions, "repetitions")
     return RunConfig(experiment=experiment,
                      calibration_repetitions=cal_reps,
-                     reuse_records_for_calibration=bool(cal["reuse_records"]),
+                     reuse_records_for_calibration=cal["reuse_records"],
                      raw=merged)
 
 

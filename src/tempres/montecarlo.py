@@ -36,11 +36,7 @@ from .channels import (
 from .pulses import GRID_TAU_MARGIN
 
 N_RECORDED = 4   # projections n = 0..3 enter the records, as in the estimator
-
-# mode_cutoff covers at least the recorded projections.  HG_n oscillates out to
-# t = 2 sqrt(n + 1/2) sigma_t, inside the standard quadrature grid (+-16 sigma_t)
-# up to n = 63
-MAX_MODE_CUTOFF = 64
+RATE_MODES = N_RECORDED + 1   # crosstalk reaches a recorded mode from mode 4 at most
 
 # numpy's Poisson sampler rejects means above about 9.2e18; a draw's mean is at
 # most mean_total_detections + dark_rate
@@ -96,7 +92,6 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode_cutoff: int = 8     # HG modes per channel in the rate model
     tau_grid: tuple = DEFAULT_TAU_GRID
     gammas: tuple = DEFAULT_GAMMAS
     repetitions: int = 100
@@ -118,9 +113,6 @@ class ExperimentConfig:
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 raise ValueError(f"{key} values must be distinct, got {repeated:g} twice: "
                                  "one (tau, gamma) cell would hold two sets of runs")
-        if not N_RECORDED <= self.mode_cutoff <= MAX_MODE_CUTOFF:
-            raise ValueError(f"mode_cutoff must lie in [{N_RECORDED}, {MAX_MODE_CUTOFF}], "
-                             f"got {self.mode_cutoff}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not 0 < self.mean_total_detections <= MAX_POISSON_MEAN:
@@ -164,16 +156,15 @@ def detection_rates(config: ExperimentConfig, tau: float, gamma: float,
                     centroid_offset: float = 0.0):
     """Expected per-projection detection rates (probability units) for one cell.
 
-    Closed-form projections when there is no drift offset, memoized per
-    (mode_cutoff, device, dark rate, tau, gamma) and returned read-only;
-    brute-force quadrature otherwise, since an offset breaks the even/odd
-    structure.
+    HG modes n < RATE_MODES per channel.  Closed-form projections when
+    there is no drift offset, memoized per (device, dark rate, tau, gamma) and
+    returned read-only; brute-force quadrature otherwise, since an offset
+    breaks the even/odd structure.
     """
     dark_norm = config.device.dark_rate / config.mean_total_detections
     if centroid_offset == 0.0:
-        return _no_offset_rates(config.mode_cutoff, config.device, dark_norm, tau, gamma)
-    ideal_s, ideal_a = quadrature_projection_probs(
-        config.mode_cutoff, tau, centroid_offset=centroid_offset)
+        return _no_offset_rates(config.device, dark_norm, tau, gamma)
+    ideal_s, ideal_a = quadrature_projection_probs(RATE_MODES, tau, centroid_offset)
     return _device_rates(ideal_s, ideal_a, config.device, dark_norm, gamma)
 
 
@@ -183,8 +174,8 @@ def _device_rates(ideal_s, ideal_a, device, dark_norm, gamma):
 
 
 @functools.lru_cache(maxsize=1024)
-def _no_offset_rates(mode_cutoff, device, dark_norm, tau, gamma):
-    ideal_s, ideal_a = hg_projection_probs(mode_cutoff, tau)
+def _no_offset_rates(device, dark_norm, tau, gamma):
+    ideal_s, ideal_a = hg_projection_probs(RATE_MODES, tau)
     rates = _device_rates(ideal_s, ideal_a, device, dark_norm, gamma)
     for rate in rates:
         rate.flags.writeable = False

@@ -5,7 +5,6 @@ quadrature inner products, finite-difference Fisher information, and single
 runs of the sampler.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -14,13 +13,7 @@ import numpy as np
 from tempres import montecarlo
 from tempres.channels import hg_projection_probs, mixed_projection_probs
 from tempres.information import PROB_FLOOR
-from tempres.pulses import (
-    GRID,
-    GRID_HALF_WIDTH,
-    GRID_POINTS,
-    GRID_TAU_MARGIN,
-    gaussian_amplitude,
-)
+from tempres.pulses import GRID, GRID_HALF_WIDTH, GRID_POINTS, GRID_TAU_MARGIN
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -64,20 +57,6 @@ def make_grid(points: int = GRID_POINTS) -> np.ndarray:
     """Uniform quadrature grid covering every shifted pulse used in a study."""
     half = GRID_HALF_WIDTH + GRID_TAU_MARGIN
     return np.linspace(-half, half, points)
-
-
-def shifted_pulse(tau: float, sign: int) -> WaveformSamples:
-    """One of the pair psi(t +/- tau/2) / sqrt(2).
-
-    The 1/sqrt(2) weight keeps the pair's total intensity normalized to one:
-    ||psi_+||^2 + ||psi_-||^2 = 1.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    values = gaussian_amplitude(GRID + sign * tau / 2.0) / np.sqrt(2.0)
-    return WaveformSamples(GRID, values)
 
 
 def quadrature_inner_product(f: WaveformSamples, g: WaveformSamples) -> complex:
@@ -174,21 +153,6 @@ def fd_intensity_fi(profile_fn, tau: float) -> float:
     keep = p > PROB_FLOOR
     integrand[keep] = dp[keep] ** 2 / p[keep]
     return float(np.trapezoid(integrand, GRID))
-
-
-def per_detection_fi(fi: float, detected_fraction: float) -> float:
-    """Rescale FI per detection in one channel by that channel's intensity share.
-
-    Diverges as the anti-phase channel empties (detected_fraction -> 0); a
-    zero fraction returns +inf with a warning rather than raising.
-    """
-    if detected_fraction < 0:
-        raise ValueError(f"detected_fraction must be >= 0, got {detected_fraction}")
-    if detected_fraction == 0:
-        warnings.warn("per-detection FI undefined at zero detected fraction; "
-                      "reporting inf", RuntimeWarning)
-        return math.inf
-    return fi / detected_fraction
 
 
 # ------------------------------------------------------------------ sampler

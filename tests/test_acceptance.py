@@ -39,7 +39,7 @@ VAR_BAND = (0.8 * QCRB_PER_DETECTION, 2.0 * QCRB_PER_DETECTION)
 
 INCOH_INTENSITY_FI_AT_0P1 = 1.2437913060e-3       # frozen finite-difference value
 
-MODE_CUTOFF = 8                                   # the default model cutoff
+MODE_CUTOFF = 8                                   # more than the rate model's RATE_MODES
 WIDE_CUTOFF = 16                                  # negligible truncation to tau = 3
 
 

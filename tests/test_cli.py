@@ -90,14 +90,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ({"master_seed": 1.5}, "master_seed"),
     ({"master_seed": False}, "master_seed"),
     ({"master_seed": -1}, "master_seed"),
-    ({"mode_cutoff": "8"}, "mode_cutoff"),
+    ({"mode_cutoff": 8}, "mode_cutoff"),   # not a key: the rate model holds RATE_MODES modes
     ({"drift": {"std": 0.05, "recenter_period": True}}, "recenter_period"),
     ({"drift": {"std": 0.05, "recenter_period": 2.5}}, "recenter_period"),
     ({"calibration": {"repetitions": 2.7}}, "calibration.repetitions"),
     ({"calibration": {"repetitions": "4"}}, "calibration.repetitions"),
     ({"calibration": {"repetitions": 0}}, "calibration.repetitions"),
-    ({"mode_cutoff": 2}, "mode_cutoff"),
-    ({"mode_cutoff": 3}, "mode_cutoff"),
+    # reuse_records takes a JSON boolean only: bool("false") would read as true
+    pytest.param({"calibration": {"reuse_records": "false"}}, "reuse_records",
+                 id="string-reuse_records"),
+    pytest.param({"calibration": {"reuse_records": 1}}, "reuse_records", id="int-reuse_records"),
     ({"tau_grid": [0.0, 0.25, 0.5, 0.75, "nan"]}, "tau_grid"),
     ({"tau_grid": [0.0, 0.25, 0.5, 0.75, 1e200]}, "tau_grid"),
     ({"drift": {"std": "nan"}}, "drift std"),
@@ -118,6 +120,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
                  id="huge-int-mean_total_detections"),
     pytest.param({"drift": {"std": True}}, "drift std", id="bool-drift-std"),
     pytest.param({"device": {"efficiency": True}}, "device.efficiency", id="bool-efficiency"),
+    pytest.param({"calibration": {"reuse_records": None}}, "reuse_records",
+                 id="null-reuse_records"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
@@ -319,6 +323,23 @@ def test_short_tau_grid_exits_2_where_calibration_needs_it(tmp_path, capsys, arg
     assert "tau_grid" in capsys.readouterr().err
     for command in ("simulate", "fisher"):
         assert main([command] + args) == 0
+
+
+@pytest.mark.parametrize("argv", [["estimate"], ["reproduce", "fig2"]],
+                         ids=["estimate", "reproduce"])
+def test_tau_past_the_scan_exits_2_where_estimates_are_made(tmp_path, capsys, argv):
+    # the GLS scan ends at SCAN_TAU_MAX, so a larger true tau would read as exactly 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tau_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5],
+                                  "gammas": [0.0], "repetitions": 2}))
+    args = ["--config", str(config), "--out", str(tmp_path / "out")]
+    for command in ("simulate", "fisher"):
+        assert main([command] + args) == 0
+    if argv == ["estimate"]:
+        argv = argv + [str(tmp_path / "out" / "records.csv")]
+    assert main(argv + args) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert "SCAN_TAU_MAX" in err and "2.5" in err
 
 
 @pytest.mark.parametrize("data, key", [
@@ -541,7 +562,8 @@ def output_digest(tmp_path, argv, data, name):
     return hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("argv, name, sha256", [
+# each test is named by its output file, so a re-pinned digest keeps the test's name
+GOLDEN = [
     (["simulate"], "records.csv",
      "98495d996dc47280b9e9d61984adcaaa88fe7d803d572fd29fd3e129cad30e79"),
     # fig2-fig4 moved when mean_response came to be evaluated as one product
@@ -562,7 +584,10 @@ def output_digest(tmp_path, argv, data, name):
      "4d6890f8c22956d08b40dcc5c0ee923a3377ccbf71800ae41dc95455565db609"),
     (["reproduce", "fig3", "--svg"], "fig3.svg",
      "bee5b377d297221319c88613f53680b8fb7b8cefc8c699b7f75d17fb832bc25c"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, name, sha256", GOLDEN, ids=[name for _, name, _ in GOLDEN])
 def test_golden_output_digest(tmp_path, argv, name, sha256):
     # a changed digest means the sampling streams or the estimator arithmetic
     # moved: make that change on purpose and record the new digest with it
@@ -577,12 +602,16 @@ def test_golden_output_digest_drift_device(tmp_path):
             == "a2d059932ad987d3c59957c02cacc9888c73131a7e0664805097dda9bed897a6")
 
 
-@pytest.mark.parametrize("name, sha256", [
+GOLDEN_ESTIMATE = [
     # both moved with mean_response's product form, as fig2-fig4 did: one
     # tau_hat and 16 stats values change in their last printed digits
     ("stats.csv", "1292c1a2edc942f89ccad7ee2d44b3d4209e9b9a662e3194256d2e45a75465d5"),
     ("estimates.csv", "66eaa75f7e903ef4206d429050b274afaaddb9c743e95cf7acf3710c188fb557"),
-])
+]
+
+
+@pytest.mark.parametrize("name, sha256", GOLDEN_ESTIMATE,
+                         ids=[name for name, _ in GOLDEN_ESTIMATE])
 def test_golden_output_digest_estimate(tmp_path, name, sha256):
     # estimate on simulate's records: the read-back, calibration and GLS path
     sim = tmp_path / "sim"

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from oracles import (
     classical_fi_discrete,
     fd_intensity_fi,
     modified_qfi,
-    per_detection_fi,
 )
 from tempres import (
     QFI,
@@ -167,25 +164,6 @@ def test_incoherent_intensity_below_mode_projection():
     for tau in (0.05, 0.2, 0.5, 0.9):
         fi_int = intensity_fi(*incoherent_intensity_profile(tau))
         assert fi_int < 0.25
-
-
-def test_per_detection_fi():
-    assert per_detection_fi(0.2, 1.0) == pytest.approx(0.2)
-
-    # tau = 2: F_a = 1/8, ||psi_a||^2 = (1/2)(1 - e^{-1/2})
-    _, f_a = coherent_channel_fi_analytic(2.0)
-    fraction = 0.5 * (1.0 - math.exp(-0.5))
-    assert per_detection_fi(f_a, fraction) == pytest.approx(0.6354, abs=1e-4)
-
-    # anti-phase channel at small tau: per-detection FI far above the QFI
-    _, f_a = coherent_channel_fi_analytic(0.1)
-    fraction = 0.5 * (1.0 - math.exp(-0.1**2 / 8.0))
-    assert per_detection_fi(f_a, fraction) > 100 * QFI
-
-    with pytest.warns(RuntimeWarning):
-        assert per_detection_fi(0.1, 0.0) == math.inf
-    with pytest.raises(ValueError):
-        per_detection_fi(0.1, -0.5)
 
 
 def test_mixed_channel_fi_analytic():

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import sample_run
 from tempres import DeviceModel, DriftSpec, ExperimentConfig, run_experiment
+from tempres.channels import hg_projection_probs, quadrature_projection_probs
 from tempres.estimator import CALIBRATION_SEED_OFFSET
 from tempres.montecarlo import (
+    N_RECORDED,
+    RATE_MODES,
     DetectionRecord,
+    _device_rates,
     _drift_offsets,
     _seeded,
     _StreamWords,
@@ -135,8 +139,6 @@ def test_config_validation():
         ExperimentConfig(tau_grid=(-0.1,))
     with pytest.raises(ValueError):
         ExperimentConfig(repetitions=0)
-    with pytest.raises(ValueError, match="mode_cutoff"):
-        ExperimentConfig(mode_cutoff=1)
     with pytest.raises(ValueError):
         ExperimentConfig(mean_total_detections=0.0)
     with pytest.raises(ValueError):
@@ -180,6 +182,31 @@ def test_detection_rates_are_read_only_and_repeatable():
     again = detection_rates(cfg, 0.5, 0.25)
     for a, b in zip(first, again):
         np.testing.assert_array_equal(a, b)
+
+
+def test_recorded_rates_do_not_depend_on_modes_past_rate_modes():
+    # crosstalk moves rate one mode index at a time, so mode RATE_MODES and above
+    # never reach a recorded projection: more modes give the same recorded rates
+    device = DeviceModel(crosstalk_eps=0.05, efficiency=0.9, dark_rate=1.0)
+    cfg = small_config(device=device)
+    dark_norm = device.dark_rate / cfg.mean_total_detections
+    for tau in np.linspace(0.0, 4.0, 17):
+        for gamma in (0.0, 0.125, 0.25, 0.375, 0.5):
+            recorded = [r[:N_RECORDED] for r in detection_rates(cfg, tau, gamma)]
+            for modes in (8, 16, 64):
+                wide = _device_rates(*hg_projection_probs(modes, tau), device, dark_norm, gamma)
+                for got, want in zip(recorded, wide):
+                    np.testing.assert_array_equal(got, want[:N_RECORDED])
+            for offset in (-0.3, -0.1, -0.01, 0.01, 0.1, 0.3):   # 0 takes the closed form
+                recorded = [r[:N_RECORDED] for r in detection_rates(cfg, tau, gamma, offset)]
+                for modes in (8, 16, 64):
+                    wide = _device_rates(*quadrature_projection_probs(modes, tau, offset),
+                                         device, dark_norm, gamma)
+                    for got, want in zip(recorded, wide):
+                        np.testing.assert_allclose(got, want[:N_RECORDED], rtol=0, atol=1e-17)
+    # one mode fewer drops mode N_RECORDED's leak into the last recorded projection
+    short = _device_rates(*hg_projection_probs(RATE_MODES - 1, 2.0), device, dark_norm, 0.0)
+    assert short[0][N_RECORDED - 1] < detection_rates(cfg, 2.0, 0.0)[0][N_RECORDED - 1]
 
 
 MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, CALIBRATION_SEED_OFFSET + 7, 3**200]

@@ -47,7 +47,6 @@ def merged(dicts):
 
 # one or two keys per example, so most examples fail on one fault at a time
 config_changes = st.lists(one_key_of({
-    "mode_cutoff": st.one_of(st.integers(2, 12), junk),
     "tau_grid": st.one_of(st.lists(st.one_of(st.floats(0.0, 4.0), junk), max_size=7),
                           junk),
     "gammas": st.one_of(st.lists(st.one_of(st.floats(0.0, 0.5), junk), max_size=3),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import WaveformSamples, make_grid, quadrature_inner_product, shifted_pulse
-from tempres import gaussian_amplitude, hg_amplitude
+from oracles import WaveformSamples, make_grid, quadrature_inner_product
+from tempres import coherent_modes, gaussian_amplitude, hg_amplitude
 from tempres.pulses import GRID
 
 
@@ -55,27 +55,21 @@ def test_hg_mode_index_out_of_range():
         hg_amplitude(-1, 0.0)
 
 
-def test_shifted_pulse_zero_offset(grid):
-    plus = shifted_pulse(0.0, +1)
-    minus = shifted_pulse(0.0, -1)
-    np.testing.assert_array_equal(plus.values, minus.values)
-    np.testing.assert_allclose(plus.values,
-                               gaussian_amplitude(grid) / np.sqrt(2.0))
-
-
 @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
 def test_shifted_pair_total_norm(tau):
-    plus = shifted_pulse(tau, +1)
-    minus = shifted_pulse(tau, -1)
-    assert plus.norm_sq() + minus.norm_sq() == pytest.approx(1.0, abs=1e-10)
+    # GRID holds both pulses psi(t +/- tau/2) / sqrt(2) at every separation up to
+    # GRID_TAU_MARGIN: their squared norms sum to one
+    norms = [np.trapezoid(gaussian_amplitude(GRID + sign * tau / 2.0) ** 2 / 2.0, GRID)
+             for sign in (+1, -1)]
+    assert sum(norms) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("tau", [0.25, 0.5, 1.0, 2.0])
 def test_shifted_pair_overlap(tau):
-    # <psi_-|psi_+> = (1/2) exp(-tau^2 / 8 sigma^2) with the 1/sqrt(2) weights
-    plus = shifted_pulse(tau, +1)
-    minus = shifted_pulse(tau, -1)
-    overlap = quadrature_inner_product(minus, plus).real
+    # <psi_-|psi_+> = (1/2) exp(-tau^2 / 8 sigma^2) with the 1/sqrt(2) weights; the
+    # channel modes (psi_+ +/- psi_-)/sqrt(2) differ in squared norm by twice that
+    psi_s, psi_a = coherent_modes(tau)
+    overlap = (np.trapezoid(psi_s**2, GRID) - np.trapezoid(psi_a**2, GRID)) / 2.0
     assert overlap == pytest.approx(0.5 * np.exp(-tau**2 / 8.0), abs=1e-10)
 
 
