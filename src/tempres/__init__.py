@@ -5,7 +5,6 @@ counting Monte Carlo and constrained GLS estimation of the pulse separation.
 """
 
 from .channels import (
-    ChannelDistribution,
     DeviceModel,
     apply_device,
     coherent_modes,

@@ -23,20 +23,6 @@ def check_gamma(gamma: float) -> float:
 
 
 @dataclass(frozen=True)
-class ChannelDistribution:
-    """Per-mode detection probabilities for one channel at fixed tau."""
-
-    probs: np.ndarray       # P(n | tau), n = 0 .. mode_cutoff - 1
-    tail_mass: float        # probability beyond the cutoff, never dropped silently
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if np.any(probs < -1e-15):
-            raise ValueError("negative probability in channel distribution")
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
 class DeviceModel:
     """Affine map from ideal probabilities to detected rates.
 
@@ -95,24 +81,15 @@ def mode_weight(tau, n) -> np.ndarray:
 
 
 def hg_projection_probs(mode_cutoff: int, tau: float):
-    """Ideal-device HG detection probabilities for both channels, n < mode_cutoff.
+    """Ideal-device HG detection probabilities (probs_s, probs_a), n < mode_cutoff.
 
     The symmetric channel carries p_n(tau) at even n and exact zeros at odd n;
-    the antisymmetric channel is the parity complement.  Tail mass beyond the
-    cutoff is reported per channel.
+    the antisymmetric channel is the parity complement.
     """
     n = np.arange(mode_cutoff)
     p = mode_weight(tau, n)
     even = n % 2 == 0
-    probs_s = np.where(even, p, 0.0)
-    probs_a = np.where(~even, p, 0.0)
-
-    x = tau**2 / 16.0
-    total_even = 0.5 * (1.0 + np.exp(-2.0 * x))   # sum of p_n over all even n
-    total_odd = 0.5 * (1.0 - np.exp(-2.0 * x))
-    tail_s = max(total_even - probs_s.sum(), 0.0)
-    tail_a = max(total_odd - probs_a.sum(), 0.0)
-    return ChannelDistribution(probs_s, tail_s), ChannelDistribution(probs_a, tail_a)
+    return np.where(even, p, 0.0), np.where(~even, p, 0.0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -134,7 +111,7 @@ def _trapezoid_mode_table(mode_cutoff: int) -> np.ndarray:
 
 def quadrature_projection_probs(mode_cutoff: int, tau: float,
                                 centroid_offset: float = 0.0):
-    """Projection probabilities computed by brute-force overlap integrals.
+    """Projection probabilities (probs_s, probs_a) from brute-force overlap integrals.
 
     Oracle for the closed form when centroid_offset = 0; the only route when a
     drift offset breaks the parity structure.  The overlaps are trapezoid
@@ -143,28 +120,17 @@ def quadrature_projection_probs(mode_cutoff: int, tau: float,
     """
     psi_s, psi_a = coherent_modes(tau, centroid_offset)
     amps = _trapezoid_mode_table(mode_cutoff) @ np.stack([psi_s, psi_a], axis=1)
-    probs_s = amps[:, 0] ** 2
-    probs_a = amps[:, 1] ** 2
-    tail_s = max(np.trapezoid(psi_s**2, GRID) - probs_s.sum(), 0.0)
-    tail_a = max(np.trapezoid(psi_a**2, GRID) - probs_a.sum(), 0.0)
-    return ChannelDistribution(probs_s, tail_s), ChannelDistribution(probs_a, tail_a)
+    return amps[:, 0] ** 2, amps[:, 1] ** 2
 
 
-def mixed_projection_probs(ideal_s: ChannelDistribution, ideal_a: ChannelDistribution,
-                           gamma: float):
+def mixed_projection_probs(probs_s: np.ndarray, probs_a: np.ndarray, gamma: float):
     """Convex channel-swapping mixture with coherence parameter gamma.
 
     gamma = 0 returns the coherent inputs unchanged; gamma = 1/2 yields two
     identical half-weight copies of the incoherent distribution.
     """
     g = check_gamma(gamma)
-    mixed_s = ChannelDistribution(
-        (1.0 - g) * ideal_s.probs + g * ideal_a.probs,
-        (1.0 - g) * ideal_s.tail_mass + g * ideal_a.tail_mass)
-    mixed_a = ChannelDistribution(
-        g * ideal_s.probs + (1.0 - g) * ideal_a.probs,
-        g * ideal_s.tail_mass + (1.0 - g) * ideal_a.tail_mass)
-    return mixed_s, mixed_a
+    return (1.0 - g) * probs_s + g * probs_a, g * probs_s + (1.0 - g) * probs_a
 
 
 def _shifted_pair(tau: float):
@@ -197,20 +163,19 @@ def incoherent_intensity_profile(tau: float):
     return (a**2 + b**2) / 2.0, a * da + b * db
 
 
-def apply_device(ideal: ChannelDistribution, dev: DeviceModel,
+def apply_device(probs: np.ndarray, dev: DeviceModel,
                  dark_rate_normalized: float = 0.0) -> np.ndarray:
-    """Detected rate vector for one channel under the imperfect device.
+    """Detected rate vector of one channel's probabilities P = probs under the device.
 
     rate(n) = eta [ (1 - eps) P(n) + eps/2 (P(n-1) + P(n+1)) ] + dark, with
     reflection at n = 0 and absorption past the cutoff.  dark_rate_normalized
     is the dark rate expressed in the same per-detection units as P (the
     caller divides DeviceModel.dark_rate by the expected total detections).
     """
-    p = ideal.probs
     eps = dev.crosstalk_eps
-    leaked = np.zeros_like(p)
-    leaked[1:] += 0.5 * eps * p[:-1]
-    leaked[:-1] += 0.5 * eps * p[1:]
-    leaked[0] += 0.5 * eps * p[0]   # reflecting boundary below n = 0
-    rate = dev.efficiency * ((1.0 - eps) * p + leaked) + dark_rate_normalized
+    leaked = np.zeros_like(probs)
+    leaked[1:] += 0.5 * eps * probs[:-1]
+    leaked[:-1] += 0.5 * eps * probs[1:]
+    leaked[0] += 0.5 * eps * probs[0]   # reflecting boundary below n = 0
+    rate = dev.efficiency * ((1.0 - eps) * probs + leaked) + dark_rate_normalized
     return rate

@@ -141,10 +141,13 @@ def load(path: str | None) -> RunConfig:
     if path is None:
         return from_dict({})
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8: byte {exc.start} "
+                          f"is 0x{exc.object[exc.start]:02x}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:

@@ -109,6 +109,8 @@ class ExperimentConfig:
                              f"separations the quadrature grid covers, got {outside[0]}")
         for key in ("tau_grid", "gammas"):
             values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must hold at least one value")
             if len(set(values)) < len(values):
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 raise ValueError(f"{key} values must be distinct, got {repeated:g} twice: "

@@ -89,7 +89,7 @@ def channel_probs(mode_cutoff: int, gamma: float = 0.0, channels: str = "sa"):
     """tau -> the closed-form HG projection probabilities of `channels` at gamma, concatenated."""
     def fn(tau):
         mixed = mixed_projection_probs(*hg_projection_probs(mode_cutoff, tau), gamma)
-        return np.concatenate([dist.probs for ch, dist in zip("sa", mixed) if ch in channels])
+        return np.concatenate([probs for ch, probs in zip("sa", mixed) if ch in channels])
     return fn
 
 

@@ -100,8 +100,7 @@ def test_criterion_2_closed_form_vs_quadrature():
     for tau in (0.1, 0.5, 1.0, 1.5, 2.0):
         s, a = hg_projection_probs(MODE_CUTOFF, tau)
         qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau)
-        worst = max(worst, np.abs(s.probs - qs.probs).max(),
-                    np.abs(a.probs - qa.probs).max())
+        worst = max(worst, np.abs(s - qs).max(), np.abs(a - qa).max())
     # a drift offset displaces both pulses; psi_s and psi_a are half the sum and
     # half the difference of the two displaced pulses
     worst_offset = 0.0
@@ -111,8 +110,8 @@ def test_criterion_2_closed_form_vs_quadrature():
             late = displaced_hg_amplitudes(offset + tau / 2.0, MODE_CUTOFF)
             qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau, centroid_offset=offset)
             worst_offset = max(worst_offset,
-                               np.abs(qs.probs - ((early + late) / 2.0) ** 2).max(),
-                               np.abs(qa.probs - ((early - late) / 2.0) ** 2).max())
+                               np.abs(qs - ((early + late) / 2.0) ** 2).max(),
+                               np.abs(qa - ((early - late) / 2.0) ** 2).max())
     elapsed = time.perf_counter() - start
     assert worst < 1e-8
     assert worst_offset <= 1e-12

@@ -18,12 +18,7 @@ from tempres import (
     mixed_projection_probs,
     quadrature_projection_probs,
 )
-from tempres.channels import (
-    ChannelDistribution,
-    _trapezoid_mode_table,
-    check_gamma,
-    mode_weight,
-)
+from tempres.channels import _trapezoid_mode_table, check_gamma, mode_weight
 from tempres.pulses import GRID, hg_amplitude
 
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
@@ -64,30 +59,30 @@ def test_norm_split_between_channels():
 
 def test_projection_probs_tau_zero():
     s, a = hg_projection_probs(MODE_CUTOFF, 0.0)
-    assert s.probs[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.all(s.probs[1:] == 0.0)
-    assert np.all(a.probs == 0.0)
+    assert s[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.all(s[1:] == 0.0)
+    assert np.all(a == 0.0)
 
 
 def test_projection_probs_known_value():
     # p_1(sigma_t) = (1/16) exp(-1/16)
     _, a = hg_projection_probs(MODE_CUTOFF, 1.0)
-    assert a.probs[1] == pytest.approx(np.exp(-1.0 / 16.0) / 16.0, abs=1e-12)
-    assert a.probs[1] == pytest.approx(0.0587133, abs=1e-6)
+    assert a[1] == pytest.approx(np.exp(-1.0 / 16.0) / 16.0, abs=1e-12)
+    assert a[1] == pytest.approx(0.0587133, abs=1e-6)
 
 
 def test_projection_probs_parity_purity():
     for tau in (0.1, 0.5, 1.0, 2.0):
         s, a = hg_projection_probs(MODE_CUTOFF, tau)
-        assert np.all(s.probs[1::2] == 0.0)
-        assert np.all(a.probs[0::2] == 0.0)
+        assert np.all(s[1::2] == 0.0)
+        assert np.all(a[0::2] == 0.0)
 
 
 def test_projection_probs_total_unity():
-    for tau in (0.0, 0.5, 1.0, 2.0, 3.0):
-        s, a = hg_projection_probs(MODE_CUTOFF, tau)
-        total = s.probs.sum() + a.probs.sum() + s.tail_mass + a.tail_mass
-        assert total == pytest.approx(1.0, abs=1e-9)
+    # Poisson argument x = tau^2/16 <= 1, so the mass past 64 modes is far below 1e-12
+    for tau in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0):
+        s, a = hg_projection_probs(64, tau)
+        assert s.sum() + a.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mode_weight_is_poisson():
@@ -127,37 +122,36 @@ def test_import_leaves_scipy_unloaded():
 def test_closed_form_matches_quadrature(tau):
     s, a = hg_projection_probs(MODE_CUTOFF, tau)
     qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau)
-    assert np.abs(s.probs - qs.probs).max() < 1e-8
-    assert np.abs(a.probs - qa.probs).max() < 1e-8
+    assert np.abs(s - qs).max() < 1e-8
+    assert np.abs(a - qa).max() < 1e-8
 
 
 def test_tail_mass_small_below_two_sigma():
     # Poisson argument x = tau^2/16 <= 0.25, so the mass beyond n = 7 is tiny
     for tau in (0.5, 1.0, 2.0):
         s, a = hg_projection_probs(MODE_CUTOFF, tau)
-        assert s.tail_mass + a.tail_mass < 1e-9
+        assert 1.0 - (s.sum() + a.sum()) < 1e-9
 
 
 def test_mixing_gamma_zero_identity():
     s, a = hg_projection_probs(MODE_CUTOFF, 0.8)
     ms, ma = mixed_projection_probs(s, a, 0.0)
-    np.testing.assert_array_equal(ms.probs, s.probs)
-    np.testing.assert_array_equal(ma.probs, a.probs)
+    np.testing.assert_array_equal(ms, s)
+    np.testing.assert_array_equal(ma, a)
 
 
 def test_mixing_gamma_half_identical_channels():
     s, a = hg_projection_probs(MODE_CUTOFF, 0.8)
     ms, ma = mixed_projection_probs(s, a, 0.5)
-    np.testing.assert_allclose(ms.probs, ma.probs, rtol=0, atol=1e-16)
-    np.testing.assert_allclose(ms.probs, 0.5 * (s.probs + a.probs), rtol=1e-15)
+    np.testing.assert_allclose(ms, ma, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(ms, 0.5 * (s + a), rtol=1e-15)
 
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
 def test_mixing_preserves_incoherent_sum(gamma):
     s, a = hg_projection_probs(MODE_CUTOFF, 0.8)
     ms, ma = mixed_projection_probs(s, a, gamma)
-    np.testing.assert_allclose(ms.probs + ma.probs, s.probs + a.probs,
-                               rtol=0, atol=1e-16)
+    np.testing.assert_allclose(ms + ma, s + a, rtol=0, atol=1e-16)
 
 
 def test_gamma_range_check():
@@ -189,12 +183,12 @@ def test_incoherent_profile_unit_total(grid):
 def test_apply_device_identity():
     s, _ = hg_projection_probs(MODE_CUTOFF, 0.7)
     rates = apply_device(s, DeviceModel())
-    np.testing.assert_array_equal(rates, s.probs)
+    np.testing.assert_array_equal(rates, s)
 
 
 def test_apply_device_crosstalk_leak():
-    dist = ChannelDistribution(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
-    rates = apply_device(dist, DeviceModel(crosstalk_eps=0.02, efficiency=0.8))
+    rates = apply_device(np.array([1.0, 0.0, 0.0, 0.0]),
+                         DeviceModel(crosstalk_eps=0.02, efficiency=0.8))
     assert rates[1] == pytest.approx(0.01 * 0.8, abs=1e-15)
     assert rates[0] == pytest.approx(0.8 * (0.98 + 0.01), abs=1e-15)
 
@@ -204,7 +198,7 @@ def test_apply_device_rate_bound():
     dark_norm = dev.dark_rate / 1e4
     s, a = hg_projection_probs(MODE_CUTOFF, 1.0)
     total = apply_device(s, dev, dark_norm).sum() + apply_device(a, dev, dark_norm).sum()
-    assert total <= dev.efficiency + 2 * len(s.probs) * dark_norm + 1e-12
+    assert total <= dev.efficiency + 2 * len(s) * dark_norm + 1e-12
     assert np.all(apply_device(s, dev, dark_norm) >= 0)
 
 
@@ -232,16 +226,13 @@ def test_quadrature_matches_per_mode_trapezoid(mode_cutoff):
     for offset in (0.0, 0.3, -0.3, 1.0, -1.0):
         for tau in (0.0, 0.5, 2.0):
             psis = coherent_modes(tau, offset)
-            for dist, psi in zip(quadrature_projection_probs(mode_cutoff, tau, offset), psis):
-                probs = np.trapezoid(modes * psi, GRID, axis=1) ** 2
-                np.testing.assert_allclose(dist.probs, probs, rtol=0, atol=1e-14)
-                tail = max(np.trapezoid(psi**2, GRID) - probs.sum(), 0.0)
-                assert dist.tail_mass == pytest.approx(tail, rel=0, abs=1e-14)
+            for got, psi in zip(quadrature_projection_probs(mode_cutoff, tau, offset), psis):
+                want = np.trapezoid(modes * psi, GRID, axis=1) ** 2
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_hg_projection_probs_are_repeatable():
     first = hg_projection_probs(MODE_CUTOFF, 0.7)
     again = hg_projection_probs(MODE_CUTOFF, 0.7)
     for a, b in zip(first, again):
-        np.testing.assert_array_equal(a.probs, b.probs)
-        assert a.tail_mass == b.tail_mass
+        np.testing.assert_array_equal(a, b)

@@ -82,50 +82,69 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("data, key", [
-    ({"gammas": [0.7]}, "0.7"),
-    ({"repetitions": True}, "repetitions"),
-    ({"repetitions": 2.7}, "repetitions"),
-    ({"repetitions": "3"}, "repetitions"),
-    ({"master_seed": 1.5}, "master_seed"),
-    ({"master_seed": False}, "master_seed"),
-    ({"master_seed": -1}, "master_seed"),
-    ({"mode_cutoff": 8}, "mode_cutoff"),   # not a key: the rate model holds RATE_MODES modes
-    ({"drift": {"std": 0.05, "recenter_period": True}}, "recenter_period"),
-    ({"drift": {"std": 0.05, "recenter_period": 2.5}}, "recenter_period"),
-    ({"calibration": {"repetitions": 2.7}}, "calibration.repetitions"),
-    ({"calibration": {"repetitions": "4"}}, "calibration.repetitions"),
-    ({"calibration": {"repetitions": 0}}, "calibration.repetitions"),
+# Case id -> (config as data, JSON text or raw bytes; text the one error line
+# must hold).  The ids are explicit, so adding or removing a case renames no
+# other; the plain-dict cases keep the ids pytest first gave them by position.
+BAD_CONFIGS = {
+    "data0-0.7": ({"gammas": [0.7]}, "0.7"),
+    "data1-repetitions": ({"repetitions": True}, "repetitions"),
+    "data2-repetitions": ({"repetitions": 2.7}, "repetitions"),
+    "data3-repetitions": ({"repetitions": "3"}, "repetitions"),
+    "data4-master_seed": ({"master_seed": 1.5}, "master_seed"),
+    "data5-master_seed": ({"master_seed": False}, "master_seed"),
+    "data6-master_seed": ({"master_seed": -1}, "master_seed"),
+    # not a key: the rate model holds RATE_MODES modes
+    "data7-mode_cutoff": ({"mode_cutoff": 8}, "mode_cutoff"),
+    "data8-recenter_period": ({"drift": {"std": 0.05, "recenter_period": True}},
+                              "recenter_period"),
+    "data9-recenter_period": ({"drift": {"std": 0.05, "recenter_period": 2.5}},
+                              "recenter_period"),
+    "data10-calibration.repetitions": ({"calibration": {"repetitions": 2.7}},
+                                       "calibration.repetitions"),
+    "data11-calibration.repetitions": ({"calibration": {"repetitions": "4"}},
+                                       "calibration.repetitions"),
+    "data12-calibration.repetitions": ({"calibration": {"repetitions": 0}},
+                                       "calibration.repetitions"),
     # reuse_records takes a JSON boolean only: bool("false") would read as true
-    pytest.param({"calibration": {"reuse_records": "false"}}, "reuse_records",
-                 id="string-reuse_records"),
-    pytest.param({"calibration": {"reuse_records": 1}}, "reuse_records", id="int-reuse_records"),
-    ({"tau_grid": [0.0, 0.25, 0.5, 0.75, "nan"]}, "tau_grid"),
-    ({"tau_grid": [0.0, 0.25, 0.5, 0.75, 1e200]}, "tau_grid"),
-    ({"drift": {"std": "nan"}}, "drift std"),
-    pytest.param('{"mean_total_detections": 1e400}', "mean_total_detections",
-                 id="1e400-mean_total_detections"),
-    ({"mean_total_detections": 1e300}, "mean_total_detections"),
-    ({"device": {"dark_rate": "inf"}}, "dark_rate"),
-    ({"mean_total_detections": 5e-324, "device": {"dark_rate": 1.0}}, "dark_rate"),
-    ({"calibration": None}, "calibration"),
+    "string-reuse_records": ({"calibration": {"reuse_records": "false"}}, "reuse_records"),
+    "int-reuse_records": ({"calibration": {"reuse_records": 1}}, "reuse_records"),
+    "data15-tau_grid": ({"tau_grid": [0.0, 0.25, 0.5, 0.75, "nan"]}, "tau_grid"),
+    "data16-tau_grid": ({"tau_grid": [0.0, 0.25, 0.5, 0.75, 1e200]}, "tau_grid"),
+    "data17-drift std": ({"drift": {"std": "nan"}}, "drift std"),
+    "1e400-mean_total_detections": ('{"mean_total_detections": 1e400}',
+                                    "mean_total_detections"),
+    "data19-mean_total_detections": ({"mean_total_detections": 1e300},
+                                     "mean_total_detections"),
+    "data20-dark_rate": ({"device": {"dark_rate": "inf"}}, "dark_rate"),
+    "data21-dark_rate": ({"mean_total_detections": 5e-324, "device": {"dark_rate": 1.0}},
+                         "dark_rate"),
+    "data22-calibration": ({"calibration": None}, "calibration"),
     # numeric fields take JSON numbers only, and the grids JSON arrays
-    pytest.param({"tau_grid": "01234"}, "tau_grid", id="string-tau_grid"),
-    pytest.param({"gammas": "0"}, "gammas", id="string-gammas"),
-    pytest.param({"tau_grid": [0, 0.5, 0.75, 1.5, True]}, "tau_grid[4]", id="bool-in-tau_grid"),
-    pytest.param({"gammas": [0.5, False]}, "gammas[1]", id="bool-in-gammas"),
-    pytest.param({"mean_total_detections": "1e4"}, "mean_total_detections",
-                 id="string-mean_total_detections"),
-    pytest.param({"mean_total_detections": 10**400}, "mean_total_detections",
-                 id="huge-int-mean_total_detections"),
-    pytest.param({"drift": {"std": True}}, "drift std", id="bool-drift-std"),
-    pytest.param({"device": {"efficiency": True}}, "device.efficiency", id="bool-efficiency"),
-    pytest.param({"calibration": {"reuse_records": None}}, "reuse_records",
-                 id="null-reuse_records"),
-])
+    "string-tau_grid": ({"tau_grid": "01234"}, "tau_grid"),
+    "string-gammas": ({"gammas": "0"}, "gammas"),
+    "bool-in-tau_grid": ({"tau_grid": [0, 0.5, 0.75, 1.5, True]}, "tau_grid[4]"),
+    "bool-in-gammas": ({"gammas": [0.5, False]}, "gammas[1]"),
+    "string-mean_total_detections": ({"mean_total_detections": "1e4"},
+                                     "mean_total_detections"),
+    "huge-int-mean_total_detections": ({"mean_total_detections": 10**400},
+                                       "mean_total_detections"),
+    "bool-drift-std": ({"drift": {"std": True}}, "drift std"),
+    "bool-efficiency": ({"device": {"efficiency": True}}, "device.efficiency"),
+    "null-reuse_records": ({"calibration": {"reuse_records": None}}, "reuse_records"),
+    # an empty grid has no cells to run
+    "empty-tau_grid": ({"tau_grid": []}, "tau_grid"),
+    "empty-gammas": ({"gammas": [], "repetitions": 2}, "gammas"),
+    "non-utf8-bytes": (b'{"repetitions": 2, "x": "\xff"}', "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("data, key", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
 def test_bad_config_values_exit_2(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
-    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
     code = main(["fisher", "--config", str(path), "--out", str(tmp_path / "f")])
     assert code == 2
     [err] = capsys.readouterr().err.splitlines()

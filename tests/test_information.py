@@ -33,7 +33,7 @@ INCOH_INTENSITY_FI_AT_0P1 = 1.2437913060e-3
 
 
 def test_incoherent_fi_saturates_quantum_bound():
-    incoh = lambda tau: sum(d.probs for d in hg_projection_probs(WIDE_CUTOFF, tau))
+    incoh = lambda tau: sum(hg_projection_probs(WIDE_CUTOFF, tau))
     for tau in (0.05, 0.5, 1.0, 2.0, 3.0):
         assert classical_fi_discrete(incoh, tau) == pytest.approx(0.25, rel=1e-6)
 

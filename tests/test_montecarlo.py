@@ -186,7 +186,8 @@ def test_detection_rates_are_read_only_and_repeatable():
 
 def test_recorded_rates_do_not_depend_on_modes_past_rate_modes():
     # crosstalk moves rate one mode index at a time, so mode RATE_MODES and above
-    # never reach a recorded projection: more modes give the same recorded rates
+    # never reach a recorded projection: more modes give the same recorded rates.
+    # No rate is negative, on either path, at any cutoff.
     device = DeviceModel(crosstalk_eps=0.05, efficiency=0.9, dark_rate=1.0)
     cfg = small_config(device=device)
     dark_norm = device.dark_rate / cfg.mean_total_detections
@@ -197,6 +198,7 @@ def test_recorded_rates_do_not_depend_on_modes_past_rate_modes():
                 wide = _device_rates(*hg_projection_probs(modes, tau), device, dark_norm, gamma)
                 for got, want in zip(recorded, wide):
                     np.testing.assert_array_equal(got, want[:N_RECORDED])
+                    assert np.all(want >= 0)
             for offset in (-0.3, -0.1, -0.01, 0.01, 0.1, 0.3):   # 0 takes the closed form
                 recorded = [r[:N_RECORDED] for r in detection_rates(cfg, tau, gamma, offset)]
                 for modes in (8, 16, 64):
@@ -204,6 +206,7 @@ def test_recorded_rates_do_not_depend_on_modes_past_rate_modes():
                                          device, dark_norm, gamma)
                     for got, want in zip(recorded, wide):
                         np.testing.assert_allclose(got, want[:N_RECORDED], rtol=0, atol=1e-17)
+                        assert np.all(want >= 0)
     # one mode fewer drops mode N_RECORDED's leak into the last recorded projection
     short = _device_rates(*hg_projection_probs(RATE_MODES - 1, 2.0), device, dark_norm, 0.0)
     assert short[0][N_RECORDED - 1] < detection_rates(cfg, 2.0, 0.0)[0][N_RECORDED - 1]
