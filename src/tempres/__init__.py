@@ -7,7 +7,6 @@ counting Monte Carlo and constrained GLS estimation of the pulse separation.
 from .channels import (
     DeviceModel,
     apply_device,
-    coherent_modes,
     hg_projection_probs,
     incoherent_intensity_profile,
     intensity_profiles,
@@ -35,6 +34,6 @@ from .montecarlo import (
     ExperimentConfig,
     run_experiment,
 )
-from .pulses import gaussian_amplitude, hg_amplitude
+from .pulses import gaussian_amplitude
 
 __version__ = "0.1.0"

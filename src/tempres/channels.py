@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import GRID, gaussian_amplitude, hg_amplitude
+from .pulses import GRID, gaussian_amplitude
 
 GAMMA_MIN, GAMMA_MAX = 0.0, 0.5
 
@@ -42,20 +42,6 @@ class DeviceModel:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.dark_rate < 0:
             raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
-
-
-def coherent_modes(tau: float, centroid_offset: float = 0.0):
-    """Symmetric / antisymmetric superpositions of the two shifted pulses, on GRID.
-
-    psi_s = (psi_+ + psi_-)/sqrt(2), psi_a = (psi_+ - psi_-)/sqrt(2), with
-    psi_+/- = g(t +/- tau/2)/sqrt(2); with these weights,
-    ||psi_s||^2 + ||psi_a||^2 = 1.  An optional joint centroid offset models
-    timing drift between signal and gating.
-    """
-    t = GRID - centroid_offset
-    plus = gaussian_amplitude(t + tau / 2.0) / np.sqrt(2.0)
-    minus = gaussian_amplitude(t - tau / 2.0) / np.sqrt(2.0)
-    return (plus + minus) / np.sqrt(2.0), (plus - minus) / np.sqrt(2.0)
 
 
 def _xlogy(n, x) -> float:
@@ -93,34 +79,39 @@ def hg_projection_probs(mode_cutoff: int, tau: float):
 
 
 @functools.lru_cache(maxsize=4)
-def _trapezoid_mode_table(mode_cutoff: int) -> np.ndarray:
-    """HG_0 .. HG_(mode_cutoff - 1) on the standard grid times its trapezoid weights.
-
-    Row k dotted with samples f on GRID is the trapezoid integral of HG_k f,
-    the sum np.trapezoid(HG_k * f, GRID) forms, with its terms regrouped.
-    Read-only.
-    """
-    half_steps = np.diff(GRID) / 2.0
-    weights = np.zeros_like(GRID)
-    weights[:-1] += half_steps
-    weights[1:] += half_steps
-    table = np.array([hg_amplitude(k, GRID) * weights for k in range(mode_cutoff)])
+def _inverse_sqrt_factorials(mode_cutoff: int) -> np.ndarray:
+    """1 / sqrt(n!) for n < mode_cutoff, read-only."""
+    table = np.array([1.0 / math.sqrt(math.factorial(n)) for n in range(mode_cutoff)])
     table.flags.writeable = False
     return table
 
 
+def _displaced_amplitudes(mode_cutoff: int, d: float) -> np.ndarray:
+    """HG amplitudes <HG_n | g(t - d)>, n < mode_cutoff, of the unit pulse displaced by d.
+
+    A displaced Gaussian is a coherent state of the HG ladder:
+    exp(-a^2 / 2) a^n / sqrt(n!) with a = d / 2.
+    """
+    a = d / 2.0
+    return (math.exp(-a * a / 2.0) * a ** np.arange(mode_cutoff)
+            * _inverse_sqrt_factorials(mode_cutoff))
+
+
 def quadrature_projection_probs(mode_cutoff: int, tau: float,
                                 centroid_offset: float = 0.0):
-    """Projection probabilities (probs_s, probs_a) from brute-force overlap integrals.
+    """Projection probabilities (probs_s, probs_a) of the pulse pair displaced by an offset.
 
-    Oracle for the closed form when centroid_offset = 0; the only route when a
-    drift offset breaks the parity structure.  The overlaps are trapezoid
-    integrals on the standard grid: a cached table of HG modes times the
-    trapezoid weights, applied to both channels in one matrix product.
+    The drift path: an offset o breaks the even/odd structure of
+    hg_projection_probs.  The pulses sit at o - tau/2 and o + tau/2, and
+    psi_s, psi_a are half the sum and half the difference of the two, so
+    each channel's amplitudes are that combination of the pulses' closed-form
+    coherent-state amplitudes.  The name is kept because the benchmark's
+    traced layers bind it, until tempres times its own stages (ROADMAP
+    item 13).
     """
-    psi_s, psi_a = coherent_modes(tau, centroid_offset)
-    amps = _trapezoid_mode_table(mode_cutoff) @ np.stack([psi_s, psi_a], axis=1)
-    return amps[:, 0] ** 2, amps[:, 1] ** 2
+    early = _displaced_amplitudes(mode_cutoff, centroid_offset - tau / 2.0)
+    late = _displaced_amplitudes(mode_cutoff, centroid_offset + tau / 2.0)
+    return ((early + late) / 2.0) ** 2, ((early - late) / 2.0) ** 2
 
 
 def mixed_projection_probs(probs_s: np.ndarray, probs_a: np.ndarray, gamma: float):

@@ -16,7 +16,8 @@ drift walk from the start of the first run's period.  It hashes the range's
 spawn keys in one vectorized pass (numpy's SeedSequence algorithm,
 `_stream_words`) and hands each hash to numpy's PCG64, which seeds itself
 from it: the same numbers, without a SeedSequence object per draw.  The
-no-offset rates of a cell are computed once (`detection_rates` is memoized).
+no-offset rates of a cell are computed once (`detection_rates` is memoized);
+each drifted run takes its own from the displaced-pulse closed form.
 """
 
 import functools
@@ -158,9 +159,9 @@ def detection_rates(config: ExperimentConfig, tau: float, gamma: float,
                     centroid_offset: float = 0.0):
     """Expected per-projection detection rates (probability units) for one cell.
 
-    HG modes n < RATE_MODES per channel.  Closed-form projections when
-    there is no drift offset, memoized per (device, dark rate, tau, gamma) and
-    returned read-only; brute-force quadrature otherwise, since an offset
+    HG modes n < RATE_MODES per channel.  With no drift offset, the parity
+    closed form, memoized per (device, dark rate, tau, gamma) and returned
+    read-only; otherwise the displaced-pulse closed form, since an offset
     breaks the even/odd structure.
     """
     dark_norm = config.device.dark_rate / config.mean_total_detections

@@ -1,4 +1,4 @@
-"""Gaussian pulse waveforms and Hermite-Gauss temporal modes.
+"""The Gaussian pulse waveform and the standard time grid it is sampled on.
 
 Times are in units of the pulse width sigma_t, which is 1 throughout the
 library, so every waveform is the unit-width one.  Every waveform is a plain
@@ -22,19 +22,3 @@ def gaussian_amplitude(t):
     """Unit-norm Gaussian amplitude (2 pi)^(-1/4) exp(-t^2 / 4)."""
     return (2.0 * np.pi) ** (-0.25) * np.exp(-np.asarray(t, dtype=float) ** 2 / 4.0)
 
-
-def hg_amplitude(n: int, t):
-    """Hermite-Gauss temporal mode HG_n(t), orthonormal in L2.
-
-    Evaluated with the normalized three-term recurrence
-    HG_n = sqrt(2/n) x HG_{n-1} - sqrt((n-1)/n) HG_{n-2}, x = t / sqrt(2),
-    which keeps amplitudes O(1) for any practical n (no factorials formed).
-    """
-    if n < 0:
-        raise ValueError(f"mode index {n} out of range, must be >= 0")
-    x = np.asarray(t, dtype=float) / np.sqrt(2.0)
-    prev = np.zeros_like(x)
-    cur = gaussian_amplitude(t)
-    for k in range(1, n + 1):
-        prev, cur = cur, np.sqrt(2.0 / k) * x * cur - np.sqrt((k - 1) / k) * prev
-    return cur

@@ -1,8 +1,8 @@
 """Brute-force and finite-difference oracles the closed forms of tempres are checked against.
 
 None of this runs in the commands: waveforms with their own grids and
-quadrature inner products, finite-difference Fisher information, and single
-runs of the sampler.
+quadrature inner products, HG modes and trapezoid overlap integrals on GRID,
+finite-difference Fisher information, and single runs of the sampler.
 """
 
 import warnings
@@ -13,7 +13,13 @@ import numpy as np
 from tempres import montecarlo
 from tempres.channels import hg_projection_probs, mixed_projection_probs
 from tempres.information import PROB_FLOOR
-from tempres.pulses import GRID, GRID_HALF_WIDTH, GRID_POINTS, GRID_TAU_MARGIN
+from tempres.pulses import (
+    GRID,
+    GRID_HALF_WIDTH,
+    GRID_POINTS,
+    GRID_TAU_MARGIN,
+    gaussian_amplitude,
+)
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -68,6 +74,49 @@ def quadrature_inner_product(f: WaveformSamples, g: WaveformSamples) -> complex:
     if f.grid.shape != g.grid.shape or not np.array_equal(f.grid, g.grid):
         raise ValueError("waveforms are sampled on different grids")
     return complex(np.trapezoid(np.conj(f.values) * g.values, f.grid))
+
+
+def hg_amplitude(n: int, t):
+    """Hermite-Gauss temporal mode HG_n(t), orthonormal in L2.
+
+    Evaluated with the normalized three-term recurrence
+    HG_n = sqrt(2/n) x HG_{n-1} - sqrt((n-1)/n) HG_{n-2}, x = t / sqrt(2),
+    which keeps amplitudes O(1) for any practical n (no factorials formed).
+    """
+    if n < 0:
+        raise ValueError(f"mode index {n} out of range, must be >= 0")
+    x = np.asarray(t, dtype=float) / np.sqrt(2.0)
+    prev = np.zeros_like(x)
+    cur = gaussian_amplitude(t)
+    for k in range(1, n + 1):
+        prev, cur = cur, np.sqrt(2.0 / k) * x * cur - np.sqrt((k - 1) / k) * prev
+    return cur
+
+
+def coherent_modes(tau: float, centroid_offset: float = 0.0):
+    """Symmetric / antisymmetric superpositions of the two shifted pulses, on GRID.
+
+    psi_s = (psi_+ + psi_-)/sqrt(2), psi_a = (psi_+ - psi_-)/sqrt(2), with
+    psi_+/- = g(t +/- tau/2)/sqrt(2); with these weights,
+    ||psi_s||^2 + ||psi_a||^2 = 1.  An optional joint centroid offset models
+    timing drift between signal and gating.
+    """
+    t = GRID - centroid_offset
+    plus = gaussian_amplitude(t + tau / 2.0) / np.sqrt(2.0)
+    minus = gaussian_amplitude(t - tau / 2.0) / np.sqrt(2.0)
+    return (plus + minus) / np.sqrt(2.0), (plus - minus) / np.sqrt(2.0)
+
+
+def trapezoid_projection_probs(mode_cutoff: int, tau: float, centroid_offset: float = 0.0):
+    """Projection probabilities (probs_s, probs_a) as trapezoid overlap integrals on GRID.
+
+    The brute-force reference for both closed forms, hg_projection_probs and
+    the displaced-pulse quadrature_projection_probs: |<HG_n|psi>|^2 per channel.
+    """
+    modes = np.array([hg_amplitude(k, GRID) for k in range(mode_cutoff)])
+    psi_s, psi_a = coherent_modes(tau, centroid_offset)
+    return (np.trapezoid(modes * psi_s, GRID, axis=1) ** 2,
+            np.trapezoid(modes * psi_a, GRID, axis=1) ** 2)
 
 
 # ------------------------------------------------------- Fisher information

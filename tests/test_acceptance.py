@@ -6,19 +6,24 @@ bit-for-bit deterministic), with tolerance bands that absorb the expected
 statistical fluctuations at 100 runs per setting.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from oracles import WaveformSamples, channel_probs, classical_fi_discrete, modified_qfi
+from oracles import (
+    WaveformSamples,
+    channel_probs,
+    classical_fi_discrete,
+    coherent_modes,
+    modified_qfi,
+    trapezoid_projection_probs,
+)
 from tempres import (
     DeviceModel,
     QFI,
     ExperimentConfig,
     coherent_channel_fi_analytic,
-    coherent_modes,
     hg_projection_probs,
     incoherent_intensity_profile,
     intensity_fi,
@@ -87,36 +92,26 @@ def test_criterion_1_qfi_constancy():
               f"({elapsed:.2f} s)")
 
 
-def displaced_hg_amplitudes(d, mode_cutoff):
-    """HG amplitudes of the unit pulse displaced by d: exp(-a^2/2) a^n / sqrt(n!), a = d/2."""
-    a = d / 2.0
-    n = np.arange(mode_cutoff)
-    return np.exp(-a * a / 2.0) * a**n / np.sqrt([math.factorial(k) for k in n])
-
-
 def test_criterion_2_closed_form_vs_quadrature():
     start = time.perf_counter()
     worst = 0.0
+    # both closed forms against trapezoid overlap integrals on GRID: the parity
+    # form with no offset, the displaced-pulse form with a drift offset
     for tau in (0.1, 0.5, 1.0, 1.5, 2.0):
         s, a = hg_projection_probs(MODE_CUTOFF, tau)
-        qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau)
+        qs, qa = trapezoid_projection_probs(MODE_CUTOFF, tau)
         worst = max(worst, np.abs(s - qs).max(), np.abs(a - qa).max())
-    # a drift offset displaces both pulses; psi_s and psi_a are half the sum and
-    # half the difference of the two displaced pulses
     worst_offset = 0.0
     for offset in (0.01, -0.05, 0.2, 1.0):
         for tau in (0.0, 0.1, 0.4, 1.0, 2.0, 4.0):
-            early = displaced_hg_amplitudes(offset - tau / 2.0, MODE_CUTOFF)
-            late = displaced_hg_amplitudes(offset + tau / 2.0, MODE_CUTOFF)
-            qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau, centroid_offset=offset)
-            worst_offset = max(worst_offset,
-                               np.abs(qs - ((early + late) / 2.0) ** 2).max(),
-                               np.abs(qa - ((early - late) / 2.0) ** 2).max())
+            s, a = quadrature_projection_probs(MODE_CUTOFF, tau, centroid_offset=offset)
+            qs, qa = trapezoid_projection_probs(MODE_CUTOFF, tau, centroid_offset=offset)
+            worst_offset = max(worst_offset, np.abs(s - qs).max(), np.abs(a - qa).max())
     elapsed = time.perf_counter() - start
-    assert worst < 1e-8
+    assert worst < 1e-12
     assert worst_offset <= 1e-12
     assert elapsed < 5.0
-    report(2, f"p_n closed form vs quadrature, worst abs err {worst:.2e}, "
+    report(2, f"p_n closed forms vs quadrature, worst abs err {worst:.2e}, "
               f"{worst_offset:.2e} with a drift offset ({elapsed:.2f} s)")
 
 

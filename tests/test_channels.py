@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 
 import tempres
+from oracles import coherent_modes, trapezoid_projection_probs
 from tempres import (
     DeviceModel,
     apply_device,
-    coherent_modes,
     hg_projection_probs,
     incoherent_intensity_profile,
     intensity_profiles,
     mixed_projection_probs,
     quadrature_projection_probs,
 )
-from tempres.channels import _trapezoid_mode_table, check_gamma, mode_weight
-from tempres.pulses import GRID, hg_amplitude
+from tempres.channels import check_gamma, mode_weight
+from tempres.pulses import GRID
 
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
 MODE_CUTOFF = 8
@@ -121,9 +121,9 @@ def test_import_leaves_scipy_unloaded():
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
 def test_closed_form_matches_quadrature(tau):
     s, a = hg_projection_probs(MODE_CUTOFF, tau)
-    qs, qa = quadrature_projection_probs(MODE_CUTOFF, tau)
-    assert np.abs(s - qs).max() < 1e-8
-    assert np.abs(a - qa).max() < 1e-8
+    qs, qa = trapezoid_projection_probs(MODE_CUTOFF, tau)
+    assert np.abs(s - qs).max() < 1e-12
+    assert np.abs(a - qa).max() < 1e-12
 
 
 def test_tail_mass_small_below_two_sigma():
@@ -211,23 +211,14 @@ def test_device_model_validation():
         DeviceModel(dark_rate=-1.0)
 
 
-def test_trapezoid_mode_table_is_read_only_and_shared():
-    table = _trapezoid_mode_table(MODE_CUTOFF)
-    assert table.shape == (MODE_CUTOFF, GRID.size)
-    with pytest.raises(ValueError):
-        table[0, 0] = 1.0
-    assert _trapezoid_mode_table(MODE_CUTOFF) is table
-
-
 @pytest.mark.parametrize("mode_cutoff", [4, 8, 64])
 def test_quadrature_matches_per_mode_trapezoid(mode_cutoff):
-    # the overlaps as np.trapezoid integrates them, one mode row at a time
-    modes = np.array([hg_amplitude(k, GRID) for k in range(mode_cutoff)])
+    # the displaced-pulse closed form against the overlaps as np.trapezoid
+    # integrates them on GRID, one HG mode at a time
     for offset in (0.0, 0.3, -0.3, 1.0, -1.0):
         for tau in (0.0, 0.5, 2.0):
-            psis = coherent_modes(tau, offset)
-            for got, psi in zip(quadrature_projection_probs(mode_cutoff, tau, offset), psis):
-                want = np.trapezoid(modes * psi, GRID, axis=1) ** 2
+            for got, want in zip(quadrature_projection_probs(mode_cutoff, tau, offset),
+                                 trapezoid_projection_probs(mode_cutoff, tau, offset)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 

@@ -614,7 +614,7 @@ def test_golden_output_digest(tmp_path, argv, name, sha256):
 
 
 def test_golden_output_digest_drift_device(tmp_path):
-    # drifted runs take the quadrature projections instead of the closed form
+    # drifted runs take the displaced-pulse projections instead of the parity closed form
     data = {**TINY, "drift": {"std": 0.05},
             "device": {"crosstalk_eps": 0.02, "efficiency": 0.9, "dark_rate": 1.0}}
     assert (output_digest(tmp_path, ["simulate"], data, "records.csv")

@@ -5,13 +5,13 @@ from oracles import (
     WaveformSamples,
     channel_probs,
     classical_fi_discrete,
+    coherent_modes,
     fd_intensity_fi,
     modified_qfi,
 )
 from tempres import (
     QFI,
     coherent_channel_fi_analytic,
-    coherent_modes,
     fisher_report,
     gaussian_amplitude,
     hg_projection_probs,

@@ -1,5 +1,6 @@
 """Property tests: malformed configs exit 2, records.csv round-trips the counts,
-and read_records agrees with a row-by-row reference parser.
+read_records agrees with a row-by-row reference parser, and the drifted
+projections are a distribution even in the offset.
 
 derandomize=True fixes the examples, so the suite stays deterministic.
 """
@@ -10,10 +11,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempres import DetectionRecord, ExperimentConfig, run_experiment
+from tempres.channels import hg_projection_probs, quadrature_projection_probs
 from tempres.cli import EXIT_MISMATCH, RECORDS_HEADER, CliError, fmt, main, read_records
 
 # a valid base that reproduce runs in well under a second
@@ -204,3 +207,18 @@ def test_read_records_refuses_what_the_reference_refuses(text):
             assert exc.code == EXIT_MISMATCH
             got = None
         assert got == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tau=st.floats(0.0, 4.0), offset=st.floats(-2.0, 2.0))
+def test_drifted_projections_are_a_distribution_even_in_the_offset(tau, offset):
+    # the pulses sit at offset -/+ tau/2, so |a| = |offset + tau/2| / 2 <= 2: the
+    # Poisson mass past 64 modes is far below 1e-12
+    s, a = quadrature_projection_probs(64, tau, offset)
+    assert abs(s.sum() + a.sum() - 1.0) <= 1e-12
+    assert np.all(s >= 0) and np.all(a >= 0)
+    for got, want in zip(quadrature_projection_probs(64, tau, -offset), (s, a)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    for got, want in zip(quadrature_projection_probs(64, tau, 0.0),
+                         hg_projection_probs(64, tau)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)

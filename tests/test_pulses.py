@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import WaveformSamples, make_grid, quadrature_inner_product
-from tempres import coherent_modes, gaussian_amplitude, hg_amplitude
+from oracles import (
+    WaveformSamples,
+    coherent_modes,
+    hg_amplitude,
+    make_grid,
+    quadrature_inner_product,
+)
+from tempres import gaussian_amplitude
 from tempres.pulses import GRID
 
 
