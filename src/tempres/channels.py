@@ -44,40 +44,6 @@ class DeviceModel:
             raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
 
 
-def _xlogy(n, x) -> float:
-    """n log x, with 0 log 0 = 0 and n log 0 = -inf for n > 0."""
-    if n == 0:
-        return 0.0
-    return n * math.log(x) if x > 0 else -math.inf
-
-
-def mode_weight(tau, n) -> np.ndarray:
-    """Closed-form projection weight p_n(tau) = x^n/n! e^(-x), x = tau^2/16.
-
-    A Poisson pmf in the mode index, which is also why the weights sum to one
-    over all n.  tau and n broadcast against each other.  The value is
-    exp(n log x - log n! - x) with libm's log and an exact log n!: the
-    operations of scipy.stats.poisson.pmf in its order, so the two agree bit
-    for bit up to n = 12 (np.log and math.lgamma would not).
-    """
-    x = tau**2 / 16.0
-    pairs = np.broadcast(n, x)
-    log_pmf = [_xlogy(k, v) - math.log(math.factorial(k)) - v for k, v in pairs]
-    return np.exp(np.reshape(log_pmf, pairs.shape))
-
-
-def hg_projection_probs(mode_cutoff: int, tau: float):
-    """Ideal-device HG detection probabilities (probs_s, probs_a), n < mode_cutoff.
-
-    The symmetric channel carries p_n(tau) at even n and exact zeros at odd n;
-    the antisymmetric channel is the parity complement.
-    """
-    n = np.arange(mode_cutoff)
-    p = mode_weight(tau, n)
-    even = n % 2 == 0
-    return np.where(even, p, 0.0), np.where(~even, p, 0.0)
-
-
 @functools.lru_cache(maxsize=4)
 def _inverse_sqrt_factorials(mode_cutoff: int) -> np.ndarray:
     """1 / sqrt(n!) for n < mode_cutoff, read-only."""
@@ -95,6 +61,20 @@ def _displaced_amplitudes(mode_cutoff: int, d: float) -> np.ndarray:
     a = d / 2.0
     return (math.exp(-a * a / 2.0) * a ** np.arange(mode_cutoff)
             * _inverse_sqrt_factorials(mode_cutoff))
+
+
+def hg_projection_probs(mode_cutoff: int, tau: float):
+    """Ideal-device HG detection probabilities (probs_s, probs_a), n < mode_cutoff.
+
+    The offset-0 case of quadrature_projection_probs: A_n(-d) = (-1)^n A_n(d),
+    so the pulses' amplitudes add in the even modes and cancel in the odd ones,
+    leaving one pulse's weights at displacement tau/2, p_n(tau) = x^n/n! e^(-x)
+    with x = tau^2/16.  probs_s holds them at even n, probs_a at odd n, and
+    exact zeros fill the rest.
+    """
+    p = _displaced_amplitudes(mode_cutoff, tau / 2.0) ** 2
+    even = np.arange(mode_cutoff) % 2 == 0
+    return np.where(even, p, 0.0), np.where(~even, p, 0.0)
 
 
 def quadrature_projection_probs(mode_cutoff: int, tau: float,

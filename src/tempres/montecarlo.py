@@ -17,7 +17,7 @@ spawn keys in one vectorized pass (numpy's SeedSequence algorithm,
 `_stream_words`) and hands each hash to numpy's PCG64, which seeds itself
 from it: the same numbers, without a SeedSequence object per draw.  The
 no-offset rates of a cell are computed once (`detection_rates` is memoized);
-each drifted run takes its own from the displaced-pulse closed form.
+each drifted run takes its own.  Both come from the pulses' HG amplitudes.
 """
 
 import functools
@@ -159,10 +159,10 @@ def detection_rates(config: ExperimentConfig, tau: float, gamma: float,
                     centroid_offset: float = 0.0):
     """Expected per-projection detection rates (probability units) for one cell.
 
-    HG modes n < RATE_MODES per channel.  With no drift offset, the parity
-    closed form, memoized per (device, dark rate, tau, gamma) and returned
-    read-only; otherwise the displaced-pulse closed form, since an offset
-    breaks the even/odd structure.
+    HG modes n < RATE_MODES per channel, from the pulses' coherent-state
+    amplitudes.  With no drift offset, their parity split (hg_projection_probs),
+    memoized per (device, dark rate, tau, gamma) and returned read-only;
+    otherwise both displaced pulses' amplitudes, since an offset breaks parity.
     """
     dark_norm = config.device.dark_rate / config.mean_total_detections
     if centroid_offset == 0.0:

@@ -5,6 +5,7 @@ quadrature inner products, HG modes and trapezoid overlap integrals on GRID,
 finite-difference Fisher information, and single runs of the sampler.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -117,6 +118,17 @@ def trapezoid_projection_probs(mode_cutoff: int, tau: float, centroid_offset: fl
     psi_s, psi_a = coherent_modes(tau, centroid_offset)
     return (np.trapezoid(modes * psi_s, GRID, axis=1) ** 2,
             np.trapezoid(modes * psi_a, GRID, axis=1) ** 2)
+
+
+def poisson_pmf(tau, n):
+    """HG projection weight p_n(tau) = x^n e^(-x) / n!, x = tau^2/16, as the textbook pmf.
+
+    The reference for hg_projection_probs, which squares coherent-state
+    amplitudes instead; tau and n broadcast against each other.
+    """
+    x = np.asarray(tau, dtype=float) ** 2 / 16.0
+    n = np.asarray(n)
+    return x**n * np.exp(-x) / np.vectorize(math.factorial, otypes=[float])(n)
 
 
 # ------------------------------------------------------- Fisher information

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 import tempres
-from oracles import coherent_modes, trapezoid_projection_probs
+from oracles import coherent_modes, poisson_pmf, trapezoid_projection_probs
 from tempres import (
     DeviceModel,
     apply_device,
@@ -18,7 +17,8 @@ from tempres import (
     mixed_projection_probs,
     quadrature_projection_probs,
 )
-from tempres.channels import check_gamma, mode_weight
+from tempres.channels import check_gamma
+from tempres.montecarlo import DEFAULT_TAU_GRID
 from tempres.pulses import GRID
 
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
@@ -85,27 +85,16 @@ def test_projection_probs_total_unity():
         assert s.sum() + a.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mode_weight_is_poisson():
-    tau = 1.3
-    x = tau**2 / 16.0
-    n = np.arange(8)
-    expected = np.exp(-x) * x**n / np.array([math.factorial(k) for k in n])
-    np.testing.assert_allclose(mode_weight(tau, n), expected, rtol=1e-12)
-
-
-def test_mode_weight_reproduces_scipy_poisson_pmf():
-    stats = pytest.importorskip("scipy.stats")
+@pytest.mark.parametrize("taus", [DEFAULT_TAU_GRID, np.linspace(0.0, 4.0, 401)],
+                         ids=["default-grid", "sweep"])
+def test_hg_projection_probs_are_poisson(taus):
     n = np.arange(WIDE_CUTOFF)
-    taus = np.concatenate([np.arange(7) / 6.0, np.linspace(0.0, 8.0, 401),
-                           np.random.default_rng(5).uniform(0.0, 8.0, 400)])
+    even = n % 2 == 0
     for tau in taus:
-        got = mode_weight(tau, n)
-        want = stats.poisson.pmf(n, tau**2 / 16.0)
-        np.testing.assert_array_equal(got[:13], want[:13])
-        np.testing.assert_allclose(got[13:], want[13:], rtol=1e-13, atol=0.0)
-    # broadcast over an array of separations at one mode index
-    np.testing.assert_array_equal(mode_weight(taus, 3),
-                                  stats.poisson.pmf(3, taus**2 / 16.0))
+        s, a = hg_projection_probs(WIDE_CUTOFF, tau)
+        assert np.all(s[~even] == 0.0) and np.all(a[even] == 0.0)
+        np.testing.assert_allclose(np.where(even, s, a), poisson_pmf(tau, n),
+                                   rtol=1e-13, atol=0.0)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -135,6 +135,8 @@ BAD_CONFIGS = {
     "empty-tau_grid": ({"tau_grid": []}, "tau_grid"),
     "empty-gammas": ({"gammas": [], "repetitions": 2}, "gammas"),
     "non-utf8-bytes": (b'{"repetitions": 2, "x": "\xff"}', "not UTF-8"),
+    # a walk this wide overflows the displaced-pulse amplitudes (a**4 past 1.8e308)
+    "huge-drift-std": ({"repetitions": 3, "drift": {"std": 1e77}}, "drift std"),
 }
 
 
@@ -561,6 +563,18 @@ def test_count_scale_limit_runs_clean_at_the_bound(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_drift_std_limit_runs_clean_at_the_bound(tmp_path, capsys):
+    limit = config_mod.MAX_DRIFT_STD
+    config_mod.from_dict({"drift": {"std": limit}})
+    with pytest.raises(ConfigError, match="MAX_DRIFT_STD"):
+        config_mod.from_dict({"drift": {"std": limit * (1 + 2**-52)}})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"repetitions": 3, "drift": {"std": limit}}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_reproduce_unknown_figure(tmp_path, small_config):
     with pytest.raises(SystemExit):
         main(["reproduce", "fig9", "--config", str(small_config),
@@ -579,6 +593,24 @@ def output_digest(tmp_path, argv, data, name):
     out = tmp_path / "out"
     assert main(argv + ["--config", str(config), "--out", str(out)]) == 0
     return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [["fisher"], ["simulate"], ["estimate"],
+                                  ["reproduce", "fig3", "--svg"]],
+                         ids=["fisher", "simulate", "estimate", "reproduce"])
+def test_manifest_digests_match_outputs(tmp_path, argv):
+    if argv == ["estimate"]:
+        sim = tmp_path / "sim"
+        sim.mkdir()
+        output_digest(sim, ["simulate"], TINY, "records.csv")
+        argv = ["estimate", str(sim / "out" / "records.csv")]
+    output_digest(tmp_path, argv, TINY, "manifest.json")
+    out = tmp_path / "out"
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(o["path"] for o in outputs) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
+    for output in outputs:
+        assert output["sha256"] == hashlib.sha256((out / output["path"]).read_bytes()).hexdigest()
 
 
 # each test is named by its output file, so a re-pinned digest keeps the test's name
@@ -614,7 +646,7 @@ def test_golden_output_digest(tmp_path, argv, name, sha256):
 
 
 def test_golden_output_digest_drift_device(tmp_path):
-    # drifted runs take the displaced-pulse projections instead of the parity closed form
+    # drifted runs take the displaced-pulse projections instead of their offset-0 parity split
     data = {**TINY, "drift": {"std": 0.05},
             "device": {"crosstalk_eps": 0.02, "efficiency": 0.9, "dark_rate": 1.0}}
     assert (output_digest(tmp_path, ["simulate"], data, "records.csv")

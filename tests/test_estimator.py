@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from oracles import poisson_pmf
 from tempres import CalibrationError, ExperimentConfig, aggregate, calibrate, estimate_gls
-from tempres.channels import mode_weight
 from tempres.estimator import (
     SCAN_GRID,
     SCAN_POINTS,
@@ -62,7 +62,7 @@ def test_calibrate_matches_closed_form_response(config, noiseless_cal):
     # quartic fit of p_1(tau) over [0, 1]: truncation error is the tau^6 term
     taus = np.linspace(0.0, 1.0, 50)
     fitted = np.array([noiseless_cal.mean_response(t)[5] for t in taus])
-    exact = mode_weight(taus, 1)
+    exact = poisson_pmf(taus, 1)
     assert np.abs(fitted - exact).max() < 5e-4
 
 
