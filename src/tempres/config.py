@@ -5,12 +5,10 @@ width is fixed to 1), so tau values and drift magnitudes are dimensionless.
 """
 
 import json
-import sys
 from dataclasses import asdict, dataclass
 
 from .channels import DeviceModel
-from .montecarlo import DEFAULT_GAMMAS, RATE_MODES, DriftSpec, ExperimentConfig
-from .pulses import GRID_TAU_MARGIN
+from .montecarlo import DEFAULT_GAMMAS, MAX_RUNS, DriftSpec, ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -30,21 +28,6 @@ DEFAULTS = {
     "calibration": {"repetitions": None, "reuse_records": False},
 }
 _DRIFT_DEFAULTS = {"std": 0.0, "recenter_period": DriftSpec.recenter_period}
-
-# Runs in one simulated table.  A run is held as a DetectionRecord of about
-# 1.4 kB, and the pipeline peaks at about 4 kB per run (analysis records,
-# calibration records and estimates; tracemalloc on the default grid), so
-# 2**19 runs keep that peak near 2 GiB.
-MAX_RUNS = 2**19
-
-# Largest drift std, about 3.6e70: the displaced-pulse amplitudes raise half a
-# pulse's displacement, offset -/+ tau/2, to the power RATE_MODES - 1, which
-# overflows past the fourth root of the largest float (1.2e77).  An offset sums
-# at most MAX_RUNS increments std * z, and numpy's normal keeps |z| < 12.23
-# (3.654 + sqrt(2 * 53 ln 2): its ziggurat tail draws 53-bit uniforms).
-MAX_DRIFT_STD = ((2.0 * sys.float_info.max ** (1.0 / (RATE_MODES - 1))
-                  - GRID_TAU_MARGIN / 2.0) / (12.3 * MAX_RUNS))
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -115,10 +98,6 @@ def from_dict(data: dict) -> RunConfig:
             drift = DriftSpec(std=_number(drift_merged["std"], "drift std"),
                               recenter_period=_integer(drift_merged["recenter_period"],
                                                        "drift.recenter_period"))
-            if drift.std > MAX_DRIFT_STD:
-                raise ConfigError(f"drift std = {drift.std:g} is above MAX_DRIFT_STD = "
-                                  f"{MAX_DRIFT_STD:g}, where a drifted run's projection "
-                                  f"amplitudes can overflow")
             merged["drift"] = drift_merged
         experiment = ExperimentConfig(
             tau_grid=_numbers(merged["tau_grid"], "tau_grid"),

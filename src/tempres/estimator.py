@@ -26,6 +26,11 @@ SCAN_GRID = np.linspace(0.0, SCAN_TAU_MAX, SCAN_POINTS)
 SCAN_POWERS = SCAN_GRID ** np.arange(2 * POLY_DEGREE + 1)[:, None]
 SCAN_GRID.flags.writeable = False
 SCAN_POWERS.flags.writeable = False
+# the grid as Python floats, for the refinement's scalar arithmetic
+_SCAN_TAUS = SCAN_GRID.tolist()
+# exponents of a quartic's ascending coefficients
+_EXPONENTS = np.arange(POLY_DEGREE + 1)
+_EXPONENTS.flags.writeable = False
 
 # fresh random streams for self-calibration runs, disjoint from estimation data
 CALIBRATION_SEED_OFFSET = 0x9E3779B97F4A7C15
@@ -55,7 +60,7 @@ class CalibrationModel:
 
     def mean_response(self, tau: float) -> np.ndarray:
         """Calibrated mean normalized counts at one finite scalar tau, all 8 components."""
-        return self.coeffs @ tau ** np.arange(POLY_DEGREE + 1)
+        return self.coeffs @ tau ** _EXPONENTS
 
 
 class GlsEstimate(NamedTuple):
@@ -93,18 +98,16 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
     groups = {}
     for r in records:
         if r.gamma == gamma:
-            groups.setdefault(r.tau_true, []).append(r)
+            groups.setdefault(r.tau_true, []).append(r.counts_s + r.counts_a)
     taus = sorted(groups)
     if len(taus) <= POLY_DEGREE:
         raise CalibrationError(
             f"calibration needs more than {POLY_DEGREE} distinct tau values, "
             f"got {len(taus)} for gamma = {gamma}")
 
-    means = np.empty((len(taus), 2 * N_RECORDED))
-    for i, tau in enumerate(taus):
-        rows = np.array([record_components(r, config.mean_total_detections)
-                         for r in groups[tau]])
-        means[i] = rows.mean(axis=0)
+    # each row as record_components normalizes it, one array per tau
+    means = np.array([(np.array(groups[tau], dtype=float)
+                       / config.mean_total_detections).mean(axis=0) for tau in taus])
 
     tau_arr = np.asarray(taus)
     try:
@@ -123,8 +126,8 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
     return CalibrationModel(coeffs=coeffs.T, residual_rms=residual_rms, scan_terms=scan_terms)
 
 
-def _refine_minimum(grid: np.ndarray, objective: np.ndarray) -> float:
-    """Parabolic vertex through the grid minimum and its neighbors.
+def _refine_minimum(objective: np.ndarray) -> float:
+    """Parabolic vertex through the SCAN_GRID minimum and its neighbors.
 
     The arithmetic runs on Python floats, which round exactly as float64
     scalars do.  A non-finite minimum (argmin picks the first NaN) means the
@@ -136,16 +139,16 @@ def _refine_minimum(grid: np.ndarray, objective: np.ndarray) -> float:
     if not math.isfinite(lowest):
         raise EstimationError(f"GLS scan objective is {lowest} at its minimum: the "
                               "counts in units of mean_total_detections overflow")
-    if j == 0 or j == len(grid) - 1:
-        return float(grid[j])
+    if j == 0 or j == SCAN_POINTS - 1:
+        return _SCAN_TAUS[j]
     y0, y1, y2 = objective[j - 1:j + 2].tolist()
     denom = y0 - 2.0 * y1 + y2
     if denom <= 0:
-        return float(grid[j])
+        return _SCAN_TAUS[j]
     shift = min(max(0.5 * (y0 - y2) / denom, -1.0), 1.0)
-    g0, g1 = grid[j:j + 2].tolist()
+    g0, g1 = _SCAN_TAUS[j:j + 2]
     tau = g0 + shift * (g1 - g0)
-    return min(max(tau, float(grid[0])), float(grid[-1]))
+    return min(max(tau, _SCAN_TAUS[0]), _SCAN_TAUS[-1])
 
 
 # the pilot scan weights every component alike; shared by every run, so read-only
@@ -166,16 +169,16 @@ def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
     8-element arrays and Python floats, so a run costs little beyond its two
     scans.
     """
+    if not any(record.counts_s) and not any(record.counts_a):
+        return GlsEstimate(0.0, True)
     n_total = config.mean_total_detections
     c = record_components(record, n_total)
-    if not c.any():
-        return GlsEstimate(0.0, True)
 
     terms = cal.scan_terms
-    pilot = _refine_minimum(SCAN_GRID, weighted_scan(c, _UNIT_WEIGHTS, terms, SCAN_POWERS))
+    pilot = _refine_minimum(weighted_scan(c, _UNIT_WEIGHTS, terms, SCAN_POWERS))
     means = np.maximum(cal.mean_response(pilot), 1.0 / n_total)
     weights = n_total / means   # 1 / Var[counts/N] with Var = mean/N
-    tau_hat = _refine_minimum(SCAN_GRID, weighted_scan(c, weights, terms, SCAN_POWERS))
+    tau_hat = _refine_minimum(weighted_scan(c, weights, terms, SCAN_POWERS))
     return GlsEstimate(tau_hat, False)
 
 

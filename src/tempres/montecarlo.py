@@ -11,20 +11,24 @@ cell (ti, gi) is
 and drift increment j of the cell is the standard normal of spawn key
 (1, ti, gi, j).  So every record is independent of evaluation order.
 
-The sampler works on a contiguous range of runs of one cell, replaying the
-drift walk from the start of the first run's period.  It hashes the range's
-spawn keys in one vectorized pass (numpy's SeedSequence algorithm,
-`_stream_words`) and hands each hash to numpy's PCG64, which seeds itself
-from it: the same numbers, without a SeedSequence object per draw.  The
-no-offset rates of a cell are computed once (`detection_rates` is memoized);
-each drifted run takes its own.  Both come from the pulses' HG amplitudes.
+The grid is walked in blocks of at most _HASH_BLOCK_RUNS runs, taken across
+cells in grid order; a cell that crosses a block edge is split into
+contiguous ranges of runs.  Each block's count keys are hashed in one
+vectorized pass (numpy's SeedSequence algorithm, `_stream_words`), and each
+hash goes to numpy's PCG64, which seeds itself from it: the same numbers,
+without a SeedSequence object per draw.  The sampler replays the drift walk of
+a range of runs from the start of the first run's period.  The no-offset rates
+of a cell are computed once (`detection_rates` is memoized); each drifted run
+takes its own.  Both come from the pulses' HG amplitudes.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from .channels import (
     DeviceModel,
@@ -62,6 +66,20 @@ MAX_COUNT_SCALE = 1e150
 # count scale, in units of mean_total_detections, and no more
 MAX_NORMALIZED_COUNT = 2000 * MAX_COUNT_SCALE
 
+# Runs in one simulated table, the most a loaded config may ask for.  A run is
+# held as a DetectionRecord of about 1.4 kB, and the pipeline peaks at about
+# 4 kB per run (analysis records, calibration records and estimates;
+# tracemalloc on the default grid), so 2**19 runs keep that peak near 2 GiB.
+MAX_RUNS = 2**19
+
+# Largest drift std, about 3.6e70: the displaced-pulse amplitudes raise half a
+# pulse's displacement, offset -/+ tau/2, to the power RATE_MODES - 1, which
+# overflows past the fourth root of the largest float (1.2e77).  An offset sums
+# at most MAX_RUNS increments std * z, and numpy's normal keeps |z| < 12.23
+# (3.654 + sqrt(2 * 53 ln 2): its ziggurat tail draws 53-bit uniforms).
+MAX_DRIFT_STD = ((2.0 * sys.float_info.max ** (1.0 / (RATE_MODES - 1))
+                  - GRID_TAU_MARGIN / 2.0) / (12.3 * MAX_RUNS))
+
 # spawn-key tags keep count streams and drift streams disjoint
 _COUNT_STREAM = 0
 _DRIFT_STREAM = 1
@@ -72,6 +90,12 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _WORD = 2**32
+
+# Runs whose count keys are hashed in one _stream_words call.  The size bounds
+# the hash's temporaries, about 1.1 kB per run, not its speed: `reproduce fig3
+# --svg` on the default grid (3,500 runs per table) peaked at 42.0 MiB RSS with
+# 512-run blocks and at 44.7 MiB with one block per table, at the same speed.
+_HASH_BLOCK_RUNS = 512
 
 DEFAULT_TAU_GRID = tuple(i / 6.0 for i in range(7))
 DEFAULT_GAMMAS = (0.0, 0.125, 0.25, 0.375, 0.5)
@@ -134,6 +158,10 @@ class ExperimentConfig:
                 f"GLS scan objective overflows")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.drift is not None and not self.drift.std <= MAX_DRIFT_STD:
+            raise ValueError(f"drift std = {self.drift.std:g} is above MAX_DRIFT_STD = "
+                             f"{MAX_DRIFT_STD:g}, where a drifted run's projection "
+                             f"amplitudes can overflow")
 
 
 @dataclass(frozen=True)
@@ -239,12 +267,11 @@ def _stream_words(master_seed: int, keys) -> np.ndarray:
             pool[dst] = _mix(pool[dst], value)
 
     hash_const = _INIT_B
-    state = []
+    state = np.empty((len(keys), 8), dtype=np.uint32)
     for i in range(8):
-        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        state.append(value.astype(np.uint64))
-    return np.stack([state[i] | (state[i + 1] << np.uint64(32)) for i in range(0, 8, 2)],
-                    axis=1)
+        state[:, i], hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+    # each uint64 word is a pair of 32-bit words, low word first, as in numpy
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class _StreamWords(np.random.bit_generator.ISeedSequence):
@@ -254,7 +281,7 @@ class _StreamWords(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError(f"only 4 words of uint64 are stored, got a request for "
                              f"{n_words} of {np.dtype(dtype)}")
         return self.words
@@ -264,7 +291,7 @@ def _seeded(master_seed: int, keys):
     """Yield, per spawn key, a generator in the state of a fresh
     np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))."""
     for words in _stream_words(master_seed, keys):
-        yield np.random.Generator(np.random.PCG64(_StreamWords(words)))
+        yield Generator(PCG64(_StreamWords(words)))
 
 
 def _drift_offsets(config: ExperimentConfig, tau_index: int, gamma_index: int,
@@ -305,27 +332,55 @@ def apply_drift(config: ExperimentConfig, tau_index: int, gamma_index: int,
 
 
 def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int,
-                 runs: range) -> list:
-    """Records of a contiguous range of runs of one (tau, gamma) cell, in run order."""
+                 runs: range, words: np.ndarray) -> list:
+    """Records of a contiguous range of runs of one (tau, gamma) cell, in run order.
+
+    words holds the _stream_words rows of the range's count keys, 2 * N_RECORDED
+    per run in key order: run, then channel, then projection.
+    """
     tau = config.tau_grid[tau_index]
     gamma = config.gammas[gamma_index]
+    scale = config.mean_total_detections
     offsets = _drift_offsets(config, tau_index, gamma_index, runs)
-    rngs = _seeded(config.master_seed,
-                   [(_COUNT_STREAM, tau_index, gamma_index, run, ch_idx, n)
-                    for run in runs for ch_idx in range(2) for n in range(N_RECORDED)])
+    rows = iter(words)
     records = []
     for run, offset in zip(runs, offsets):
-        counts = []
-        for rates in detection_rates(config, tau, gamma, offset):
-            means = config.mean_total_detections * rates[:N_RECORDED]
-            counts.append(tuple(int(next(rngs).poisson(mean)) for mean in means))
-        records.append(DetectionRecord(tau, gamma, run, *counts))
+        rate_s, rate_a = detection_rates(config, tau, gamma, offset)
+        # Python float products round exactly as numpy's float64 ones do
+        means = [scale * rate for rate in rate_s[:N_RECORDED].tolist()
+                 + rate_a[:N_RECORDED].tolist()]
+        counts = [Generator(PCG64(_StreamWords(next(rows)))).poisson(mean) for mean in means]
+        records.append(DetectionRecord(tau, gamma, run, tuple(counts[:N_RECORDED]),
+                                       tuple(counts[N_RECORDED:])))
     return records
 
 
 def run_experiment(config: ExperimentConfig):
-    """All records over the full tau x gamma x repetition grid, in grid order."""
-    return [record
-            for ti in range(len(config.tau_grid))
-            for gi in range(len(config.gammas))
-            for record in _sample_cell(config, ti, gi, range(config.repetitions))]
+    """All records over the full tau x gamma x repetition grid, in grid order.
+
+    Run r of cell c sits at flat index c * repetitions + r, and cell c is
+    (c // len(gammas), c % len(gammas)); each block of flat indices is hashed
+    in one pass, then sampled one cell's range at a time.
+    """
+    reps = config.repetitions
+    n_gammas = len(config.gammas)
+    total = len(config.tau_grid) * n_gammas * reps
+    draws = 2 * N_RECORDED
+    channel, mode = np.divmod(np.arange(draws), N_RECORDED)
+    records = []
+    for first in range(0, total, _HASH_BLOCK_RUNS):
+        stop = min(first + _HASH_BLOCK_RUNS, total)
+        cells, runs = np.divmod(np.arange(first, stop), reps)
+        tis, gis = np.divmod(cells, n_gammas)
+        keys = np.stack(np.broadcast_arrays(_COUNT_STREAM, tis[:, None], gis[:, None],
+                                            runs[:, None], channel, mode), axis=-1)
+        words = _stream_words(config.master_seed, keys.reshape(-1, keys.shape[-1]))
+        start = first
+        while start < stop:
+            cell, run = divmod(start, reps)
+            end = min(stop, (cell + 1) * reps)
+            ti, gi = divmod(cell, n_gammas)
+            rows = slice(draws * (start - first), draws * (end - first))
+            records += _sample_cell(config, ti, gi, range(run, run + end - start), words[rows])
+            start = end
+    return records

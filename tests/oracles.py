@@ -220,5 +220,8 @@ def fd_intensity_fi(profile_fn, tau: float) -> float:
 
 def sample_run(config, tau_index: int, gamma_index: int, run_index: int):
     """Poisson counts for the first four projections of both channels, one run."""
+    words = montecarlo._stream_words(
+        config.master_seed, [(0, tau_index, gamma_index, run_index, ch, n)
+                             for ch in range(2) for n in range(montecarlo.N_RECORDED)])
     return montecarlo._sample_cell(config, tau_index, gamma_index,
-                                   range(run_index, run_index + 1))[0]
+                                   range(run_index, run_index + 1), words)[0]

@@ -565,7 +565,7 @@ def test_count_scale_limit_runs_clean_at_the_bound(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_drift_std_limit_runs_clean_at_the_bound(tmp_path, capsys):
-    limit = config_mod.MAX_DRIFT_STD
+    limit = montecarlo.MAX_DRIFT_STD
     config_mod.from_dict({"drift": {"std": limit}})
     with pytest.raises(ConfigError, match="MAX_DRIFT_STD"):
         config_mod.from_dict({"drift": {"std": limit * (1 + 2**-52)}})

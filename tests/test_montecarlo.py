@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sample_run
-from tempres import DeviceModel, DriftSpec, ExperimentConfig, run_experiment
+from tempres import DeviceModel, DriftSpec, ExperimentConfig, montecarlo, run_experiment
 from tempres.channels import hg_projection_probs, quadrature_projection_probs
 from tempres.estimator import CALIBRATION_SEED_OFFSET
 from tempres.montecarlo import (
+    MAX_DRIFT_STD,
     N_RECORDED,
     RATE_MODES,
     DetectionRecord,
@@ -303,17 +304,10 @@ def experiment_configs(drift):
     )
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(config=experiment_configs(drift=st.none()))
-def test_run_experiment_matches_the_per_draw_sampler(config):
+def assert_matches_the_per_draw_sampler(config):
     assert run_experiment(config) == reference_experiment(config)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(config=experiment_configs(drift=st.builds(
-    DriftSpec, std=st.floats(0.01, 0.3), recenter_period=st.integers(1, 5))))
-def test_drifted_run_experiment_matches_the_per_draw_sampler(config):
-    assert run_experiment(config) == reference_experiment(config)
+    if config.drift is None:
+        return
     # an offset a few ulp off rarely moves a count, so compare the offsets bit for bit
     runs = range(config.repetitions)
     for ti in range(len(config.tau_grid)):
@@ -321,3 +315,63 @@ def test_drifted_run_experiment_matches_the_per_draw_sampler(config):
             expected = [reference_offset(config, ti, gi, run) for run in runs]
             assert _drift_offsets(config, ti, gi, runs) == expected
             assert [apply_drift(config, ti, gi, run) for run in runs] == expected
+
+
+DRIFTS = st.builds(DriftSpec, std=st.floats(0.01, 0.3), recenter_period=st.integers(1, 5))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(config=experiment_configs(drift=st.none()))
+def test_run_experiment_matches_the_per_draw_sampler(config):
+    assert_matches_the_per_draw_sampler(config)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(config=experiment_configs(drift=DRIFTS))
+def test_drifted_run_experiment_matches_the_per_draw_sampler(config):
+    assert_matches_the_per_draw_sampler(config)
+
+
+# Blocks of a few runs split cells, and drift periods, at block edges; the
+# default block holds more runs than any config drawn here.
+BLOCK_RUNS = [1, 3, 5]
+
+
+@pytest.mark.parametrize("block_runs", BLOCK_RUNS)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(config=experiment_configs(drift=st.one_of(st.none(), DRIFTS)))
+def test_run_experiment_matches_the_per_draw_sampler_in_small_blocks(block_runs, config):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_HASH_BLOCK_RUNS", block_runs)
+        assert_matches_the_per_draw_sampler(config)
+
+
+@pytest.mark.parametrize("block_runs", BLOCK_RUNS)
+def test_drift_period_straddling_a_block_edge(block_runs, monkeypatch):
+    # 7 runs per cell and a period of 4: periods [4, 8) of cell 0 and [0, 4) of
+    # cell 1 (flat runs 7-10) each cross an edge of every block size here
+    config = small_config(repetitions=7, drift=DriftSpec(std=0.1, recenter_period=4))
+    blocks = []
+
+    def stream_words(seed, keys, hash_keys=montecarlo._stream_words):
+        if np.shape(keys)[1] == 6:   # count keys; drift keys hold 4 values
+            blocks.append(len(keys) // (2 * N_RECORDED))
+        return hash_keys(seed, keys)
+
+    monkeypatch.setattr(montecarlo, "_HASH_BLOCK_RUNS", block_runs)
+    monkeypatch.setattr(montecarlo, "_stream_words", stream_words)
+    assert_matches_the_per_draw_sampler(config)
+    total = len(config.tau_grid) * len(config.gammas) * config.repetitions
+    assert blocks == [block_runs] * (total // block_runs) + [total % block_runs] * (
+        total % block_runs > 0)
+
+
+def test_drift_std_above_the_limit_is_rejected():
+    # at the limit a drifted run's amplitudes stay finite (warnings are errors);
+    # above it, numpy's Poisson sampler met NaN means
+    config = ExperimentConfig(tau_grid=(0.0, 1.0), gammas=(0.0,), repetitions=3,
+                              drift=DriftSpec(MAX_DRIFT_STD))
+    assert len(run_experiment(config)) == 6
+    for std in (MAX_DRIFT_STD * (1 + 2**-52), 1e77):
+        with pytest.raises(ValueError, match="MAX_DRIFT_STD"):
+            ExperimentConfig(repetitions=3, drift=DriftSpec(std))
