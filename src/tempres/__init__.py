@@ -9,7 +9,6 @@ from .channels import (
     apply_device,
     hg_projection_probs,
     incoherent_intensity_profile,
-    intensity_profiles,
     mixed_projection_probs,
     quadrature_projection_probs,
 )

@@ -115,16 +115,6 @@ def _shifted_pair(tau: float):
     return a, b, -early * a / 4.0, late * b / 4.0
 
 
-def intensity_profiles(tau: float):
-    """Detection densities |psi_s|^2 and |psi_a|^2 on GRID, each as (P, dP/dtau).
-
-    P_s = ((a + b)/2)^2 and P_a = ((a - b)/2)^2 in the terms of _shifted_pair.
-    """
-    a, b, da, db = _shifted_pair(tau)
-    return ((((a + b) / 2.0) ** 2, (a + b) * (da + db) / 2.0),
-            (((a - b) / 2.0) ** 2, (a - b) * (da - db) / 2.0))
-
-
 def incoherent_intensity_profile(tau: float):
     """Density of the incoherent mixture on GRID as (P, dP/dtau).
 

@@ -15,7 +15,7 @@ import re
 import sys
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,6 +55,8 @@ def _load_config(path, seed=None) -> config_mod.RunConfig:
         run = config_mod.load(path)
     except ConfigError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"{path}: cannot read config: {exc}") from exc
     if seed is not None:
         try:
             experiment = replace(run.experiment, master_seed=seed)
@@ -136,17 +138,12 @@ def cmd_fisher(args):
     run = _load_config(args.config, args.seed)
     cfg = run.experiment
     out = _out_dir(args)
-    rows = []
-    for tau in cfg.tau_grid:
-        for gamma in cfg.gammas:
-            r = fisher_report(tau, gamma)
-            rows.append([r.tau, r.gamma, r.fi_s, r.fi_a, r.fi_total, r.qfi,
-                         r.fi_intensity_s, r.fi_intensity_a,
-                         r.fi_intensity_incoherent, r.crb_per_event])
+    # FisherReport's fields are in the column order
     _write_csv(out / "fisher_report.csv",
                ["tau", "gamma", "fi_s", "fi_a", "fi_total", "qfi",
                 "fi_int_s", "fi_int_a", "fi_int_incoh", "crb_per_event"],
-               rows)
+               (astuple(fisher_report(tau, gamma))
+                for tau in cfg.tau_grid for gamma in cfg.gammas))
     _write_manifest(out, run, ["fisher_report.csv"])
     return 0
 
@@ -329,14 +326,7 @@ def _run_pipeline(cfg: mc.ExperimentConfig, **kwargs):
         raise CliError(EXIT_MISMATCH, str(exc)) from exc
 
 
-def _stats_rows(stats):
-    for s in stats:
-        yield [s.tau_true, s.gamma, s.n_runs, s.mean, s.variance, s.bias,
-               s.variance_per_detection]
-
-
-STATS_HEADER = ["tau_true", "gamma", "n_runs", "mean", "variance", "bias",
-                "variance_per_detection"]
+STATS_HEADER = [field.name for field in fields(est.EstimateStats)]
 
 
 def cmd_estimate(args):
@@ -353,7 +343,7 @@ def cmd_estimate(args):
                ["tau_true", "gamma", "run", "tau_hat"],
                ([r.tau_true, r.gamma, r.run_index, gls.tau_hat]
                 for r, gls in result.estimates))
-    _write_csv(out / "stats.csv", STATS_HEADER, _stats_rows(result.stats))
+    _write_csv(out / "stats.csv", STATS_HEADER, map(astuple, result.stats))
     _write_manifest(out, run, ["estimates.csv", "stats.csv"])
     return 0
 

@@ -130,14 +130,15 @@ def from_dict(data: dict) -> RunConfig:
 
 
 def load(path: str | None) -> RunConfig:
-    """Parse a JSON config file; None loads the defaults."""
+    """Parse a JSON config file; None loads the defaults.
+
+    A file that cannot be opened or read raises its OSError unchanged.
+    """
     if path is None:
         return from_dict({})
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8: byte {exc.start} "
                           f"is 0x{exc.object[exc.start]:02x}") from exc

@@ -2,8 +2,9 @@
 
 Every quantity is quoted per single detection event in units of 1/sigma_t^2
 (sigma_t = 1), the same normalization used for the Cramer-Rao bounds.  Every
-value is closed form; the finite-difference oracles they are checked against
-live with the tests.
+value is closed form except the incoherent mixture's intensity FI, which
+integrates its closed-form density derivative on GRID; the finite-difference
+oracles they are checked against live with the tests.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import check_gamma, incoherent_intensity_profile, intensity_profiles
+from .channels import check_gamma, incoherent_intensity_profile
 from .pulses import GRID
 
 # quantum FI of the two-pulse separation, 1/(4 sigma_t^2), the same at every tau
@@ -50,12 +51,15 @@ class FisherReport:
 def coherent_channel_fi_analytic(tau: float):
     """Closed-form per-channel FI of the fully coherent superpositions.
 
-    F_s = 1/8 - (1/8 - tau^2/32) exp(-tau^2 / 8) and F_a with the opposite
-    sign of the second term; the sum is the constant quantum FI 1/4.
+    F_s = 1/8 - (1/8 - tau^2/32) e^-x, x = tau^2/8, taken through expm1 so it
+    keeps full precision as tau -> 0, and F_a with the opposite sign of the
+    second term; the sum is the constant quantum FI 1/4.  Each channel's
+    amplitudes are real, so its time-resolved intensity attains the same FI.
     """
-    base = 1.0 / 8.0
-    osc = (1.0 / 8.0 - tau**2 / 32.0) * math.exp(-tau**2 / 8.0)
-    return base - osc, base + osc
+    x = tau**2 / 8.0
+    decay = math.exp(-x)
+    return (-math.expm1(-x) / 8.0 + tau**2 / 32.0 * decay,
+            1.0 / 8.0 + (1.0 / 8.0 - tau**2 / 32.0) * decay)
 
 
 def mixed_channel_fi_analytic(tau: float, gamma: float):
@@ -81,14 +85,14 @@ def intensity_fi(density: np.ndarray, derivative: np.ndarray) -> float:
 def fisher_report(tau: float, gamma: float) -> FisherReport:
     """Assemble every information quantity at one (tau, gamma) grid point.
 
-    Channel FI values use the analytic mixtures; intensity FI values
-    integrate the closed-form density derivatives on GRID.
+    The coherent channels' intensity FIs equal their projection FIs; only
+    the incoherent intensity FI integrates its density derivative on GRID.
     """
     g = check_gamma(gamma)
     fi_s, fi_a = mixed_channel_fi_analytic(tau, g)
     fi_total = fi_s + fi_a
 
-    fi_int_s, fi_int_a = (intensity_fi(*profile) for profile in intensity_profiles(tau))
+    fi_int_s, fi_int_a = coherent_channel_fi_analytic(tau)
     fi_int_incoh = intensity_fi(*incoherent_intensity_profile(tau))
 
     return FisherReport(

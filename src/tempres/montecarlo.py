@@ -131,7 +131,9 @@ class ExperimentConfig:
         outside = [t for t in self.tau_grid if not 0 <= t <= GRID_TAU_MARGIN]
         if outside:
             raise ValueError(f"tau_grid values must lie in [0, {GRID_TAU_MARGIN:g}], the "
-                             f"separations the quadrature grid covers, got {outside[0]}")
+                             f"separations of pulses.GRID, which the incoherent intensity "
+                             f"FI integrates on and MAX_DRIFT_STD is derived from; "
+                             f"got {outside[0]}")
         for key in ("tau_grid", "gammas"):
             values = getattr(self, key)
             if not values:

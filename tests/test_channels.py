@@ -13,7 +13,6 @@ from tempres import (
     apply_device,
     hg_projection_probs,
     incoherent_intensity_profile,
-    intensity_profiles,
     mixed_projection_probs,
     quadrature_projection_probs,
 )
@@ -148,19 +147,6 @@ def test_gamma_range_check():
         check_gamma(-0.01)
     with pytest.raises(ValueError):
         check_gamma(0.51)
-
-
-def test_intensity_profiles_tau_zero():
-    _, (anti, d_anti) = intensity_profiles(0.0)
-    assert np.abs(anti).max() == np.abs(d_anti).max() == 0.0
-
-
-@pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
-def test_intensity_profiles_unit_total(grid, tau):
-    (sym, _), (anti, _) = intensity_profiles(tau)
-    total = np.trapezoid(sym, grid) + np.trapezoid(anti, grid)
-    assert total == pytest.approx(1.0, abs=1e-9)
-    assert np.all(sym >= 0) and np.all(anti >= 0)
 
 
 def test_incoherent_profile_unit_total(grid):

@@ -74,6 +74,14 @@ def test_config_invalid_value(tmp_path):
         config_mod.load(str(path))
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_config_exits_3(tmp_path, capsys, name):
+    code = main(["fisher", "--config", str(tmp_path / name), "--out", str(tmp_path / "f")])
+    assert code == 3
+    [err] = capsys.readouterr().err.splitlines()
+    assert "cannot read config" in err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"nope": 1}')
@@ -165,8 +173,9 @@ def test_fisher_csv(tmp_path, small_config):
     by_key = {(float(r[0]), float(r[1])): r for r in rows[1:]}
     for (tau, _), row in by_key.items():
         assert float(row[4]) == pytest.approx(0.25, rel=1e-6)     # fi_total
-        if tau == 0:   # the intensity FI vanishes exactly there (Rayleigh's curse)
-            assert row[6:9] == ["0", "0", "0"]
+        if tau == 0:   # the incoherent intensity FI vanishes there (Rayleigh's
+            # curse); the coherent a port keeps its limit 1/4
+            assert row[6:9] == ["0", "0.25", "0"]
         assert float(row[9]) == pytest.approx(4.0, rel=1e-6)      # crb_per_event
     assert float(by_key[(0.0, 0.0)][2]) == 0.0                    # fi_s at tau=0
     assert float(by_key[(0.1, 0.5)][8]) < 0.0025                  # Rayleigh curse
@@ -623,12 +632,15 @@ GOLDEN = [
     # and 6, 8 and 3 printed values change in their last digits
     (["reproduce", "fig2"], "fig2.csv",
      "31c5443bb5e533297309f85deb67bf4db3af4e6ea520e6d712be3b143e0771b6"),
-    # fisher_report.csv, and the intensity_crb rows of fig3.csv and fig4.csv,
-    # moved when intensity_fi came to integrate the closed-form density
-    # derivatives instead of a finite difference: the intensity FI reads 0 at
-    # tau = 0 (it read about 1e-23) and other values change in their last digits
+    # fisher_report.csv moved when fi_int_s and fi_int_a came to be the closed
+    # form of the coherent ports' FI instead of an integral on GRID: fi_int_a
+    # reads its limit 0.25 at tau = 0 (it read 0, where PROB_FLOOR dropped the
+    # whole a-port density), and fi_int_s at tau = 0.75 changes in its last digit
     (["fisher"], "fisher_report.csv",
-     "6acc76840c418d3fb9b57ae594dfee41aba2d835b627d8a8b1e6fcedc047c9dc"),
+     "73a33b20db5641e77706d8be11f65aca85812f3589fef754808328defef38ee0"),
+    # the intensity_crb rows of fig3.csv and fig4.csv moved when intensity_fi
+    # came to integrate the closed-form density derivatives instead of a
+    # finite difference, and other values changed in their last digits
     (["reproduce", "fig3"], "fig3.csv",
      "a5a7baea5ee40c5d2faebc9e4c90b66f2b3a4770064ac4a83a9b093b983d692d"),
     (["reproduce", "fig4"], "fig4.csv",

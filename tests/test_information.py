@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from tempres import (
     hg_projection_probs,
     incoherent_intensity_profile,
     intensity_fi,
-    intensity_profiles,
 )
 from tempres.information import FisherReport, mixed_channel_fi_analytic
 from tempres.pulses import GRID
@@ -117,34 +118,72 @@ def test_modified_qfi_parameter_independent_state(grid):
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
+def decimal_channel_fi(tau):
+    """F_s and F_a at the binary value of tau, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(tau)
+        osc = (Decimal(1) / 8 - t * t / 32) * (-t * t / 8).exp()
+        return Decimal(1) / 8 - osc, Decimal(1) / 8 + osc
+
+
+def assert_matches_decimal(value, reference):
+    assert abs(Decimal(value) - reference) <= Decimal("1e-14") * abs(reference), (
+        value, reference)
+
+
+@pytest.mark.parametrize("tau", [1e-8, 1e-6, 1e-4, 1e-2, 1 / 6, 0.5, 1.0, 2.0, 4.0, 50.0])
+def test_analytic_channel_fi_matches_decimal_reference(tau):
+    # written as 1/8 - (1/8 - tau^2/32) e^-x, F_s keeps only ~3 tau^2/64 of 1/8 at small tau
+    for value, reference in zip(coherent_channel_fi_analytic(tau), decimal_channel_fi(tau)):
+        assert_matches_decimal(value, reference)
+
+
+@pytest.mark.parametrize("tau", [1e-8, 1e-6, 1e-4, 1e-2])
+def test_fisher_report_small_tau_matches_decimal_reference(tau):
+    report = fisher_report(tau, 0.0)
+    f_s, f_a = decimal_channel_fi(tau)
+    for value, reference in ((report.fi_s, f_s), (report.fi_a, f_a),
+                             (report.fi_intensity_s, f_s), (report.fi_intensity_a, f_a)):
+        assert_matches_decimal(value, reference)
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
 def test_intensity_fi_coherent_sum(tau):
-    fi_s, fi_a = (intensity_fi(*profile) for profile in intensity_profiles(tau))
-    assert fi_s + fi_a == pytest.approx(0.25, abs=1e-5)
+    report = fisher_report(tau, 0.0)
+    assert report.fi_intensity_s + report.fi_intensity_a == pytest.approx(QFI, abs=1e-15)
 
 
 def test_intensity_fi_matches_channel_fi():
-    # time-resolved intensity detection of a coherent channel is optimal
-    for tau in (0.2, 1.0):
-        f_s, f_a = coherent_channel_fi_analytic(tau)
-        fi_s, fi_a = (intensity_fi(*profile) for profile in intensity_profiles(tau))
-        assert fi_s == pytest.approx(f_s, abs=2e-6)
-        assert fi_a == pytest.approx(f_a, abs=2e-6)
+    # time-resolved intensity detection of a coherent channel is optimal, down
+    # to tau = 0, where the a port keeps the whole quantum FI:
+    # F_a = 1/4 - 3 tau^2/64 + O(tau^4)
+    for tau in (0.0, 1e-8, 1e-6, 1e-4):
+        report = fisher_report(tau, 0.0)
+        assert report.fi_intensity_s == report.fi_s
+        assert report.fi_intensity_a == report.fi_a
+        assert report.fi_intensity_a == pytest.approx(QFI - 3 * tau**2 / 64, abs=1e-12)
 
 
-PROFILES = {"s": lambda tau: intensity_profiles(tau)[0],
-            "a": lambda tau: intensity_profiles(tau)[1],
-            "incoherent": incoherent_intensity_profile}
+# which -> (density on GRID, its intensity FI, that FI at tau = 0); each
+# coherent port's density is |psi|^2 of its oracle superposition
+PROFILES = {
+    "s": (lambda tau: coherent_modes(tau)[0] ** 2,
+          lambda tau: fisher_report(tau, 0.0).fi_intensity_s, 0.0),
+    "a": (lambda tau: coherent_modes(tau)[1] ** 2,
+          lambda tau: fisher_report(tau, 0.0).fi_intensity_a, QFI),
+    # the finite difference leaves about 1e-23 at tau = 0
+    "incoherent": (lambda tau: incoherent_intensity_profile(tau)[0],
+                   lambda tau: intensity_fi(*incoherent_intensity_profile(tau)), 0.0),
+}
 
 
 @pytest.mark.parametrize("which", PROFILES)
 def test_intensity_fi_closed_form_matches_finite_differences(which):
-    profile = PROFILES[which]
+    density, closed_form, at_zero = PROFILES[which]
     for tau in np.linspace(0.05, 4.0, 80):
-        expected = fd_intensity_fi(lambda t: profile(t)[0], tau)
-        assert intensity_fi(*profile(tau)) == pytest.approx(expected, rel=1e-9)
-    # the finite difference leaves about 1e-23 here
-    assert intensity_fi(*profile(0.0)) == 0.0
+        assert closed_form(tau) == pytest.approx(fd_intensity_fi(density, tau), rel=1e-9)
+    assert closed_form(0.0) == at_zero
 
 
 def test_rayleigh_curse_monotone_decay():
