@@ -8,7 +8,6 @@ from .channels import (
     DeviceModel,
     apply_device,
     hg_projection_probs,
-    incoherent_intensity_profile,
     mixed_projection_probs,
     quadrature_projection_probs,
 )
@@ -33,6 +32,5 @@ from .montecarlo import (
     ExperimentConfig,
     run_experiment,
 )
-from .pulses import gaussian_amplitude
 
 __version__ = "0.1.0"

@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import GRID, gaussian_amplitude
-
 GAMMA_MIN, GAMMA_MAX = 0.0, 0.5
+# Largest separation, in units of sigma_t: up to here the error of
+# information.intensity_fi's trapezoid sum of spacing 1/8, near
+# exp(-2 pi^2 / (tau / 8)), stays below rounding; it grows to 2e-14 at tau = 6.
+TAU_MAX = 4.0
 
 
 def check_gamma(gamma: float) -> float:
@@ -102,26 +104,6 @@ def mixed_projection_probs(probs_s: np.ndarray, probs_a: np.ndarray, gamma: floa
     """
     g = check_gamma(gamma)
     return (1.0 - g) * probs_s + g * probs_a, g * probs_s + (1.0 - g) * probs_a
-
-
-def _shifted_pair(tau: float):
-    """a = g(t + tau/2), b = g(t - tau/2) on GRID and their tau-derivatives.
-
-    g'(t) = -t g(t) / 2, so da/dtau = -(t + tau/2) a / 4 and
-    db/dtau = +(t - tau/2) b / 4.
-    """
-    early, late = GRID + tau / 2.0, GRID - tau / 2.0
-    a, b = gaussian_amplitude(early), gaussian_amplitude(late)
-    return a, b, -early * a / 4.0, late * b / 4.0
-
-
-def incoherent_intensity_profile(tau: float):
-    """Density of the incoherent mixture on GRID as (P, dP/dtau).
-
-    P = |psi_+|^2 + |psi_-|^2 = (a^2 + b^2)/2 in the terms of _shifted_pair (unit integral).
-    """
-    a, b, da, db = _shifted_pair(tau)
-    return (a**2 + b**2) / 2.0, a * da + b * db
 
 
 def apply_device(probs: np.ndarray, dev: DeviceModel,

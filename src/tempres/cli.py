@@ -352,14 +352,15 @@ def cmd_estimate(args):
 
 def _bound_series(cfg: mc.ExperimentConfig):
     """Quantum CRB and incoherent intensity-only CRB per detection vs tau."""
-    from .channels import incoherent_intensity_profile
+    # imported at call time, so a wrapper set on information.intensity_fi
+    # after import (a profiler's) sees these calls too
     from .information import QFI, intensity_fi
 
     int_crb = []
     for tau in cfg.tau_grid:
         if tau <= 0:
             continue   # Rayleigh's curse: bound diverges at tau = 0
-        fi = intensity_fi(*incoherent_intensity_profile(tau))
+        fi = intensity_fi(tau)
         if fi > 0:
             int_crb.append((tau, 1.0 / fi))
     return {"qcrb": [(tau, 1.0 / QFI) for tau in cfg.tau_grid],
@@ -367,8 +368,11 @@ def _bound_series(cfg: mc.ExperimentConfig):
 
 
 def _figure_pipeline(run: config_mod.RunConfig, gammas):
+    """The figure's config and pipeline result; reused records also calibrate."""
     cfg = replace(run.experiment, gammas=tuple(gammas))
-    return cfg, _run_pipeline(cfg, calibration_repetitions=run.calibration_repetitions)
+    records = mc.run_experiment(cfg) if run.reuse_records_for_calibration else None
+    return cfg, _run_pipeline(cfg, records=records, calibration_records=records,
+                              calibration_repetitions=run.calibration_repetitions)
 
 
 def cmd_reproduce(args):

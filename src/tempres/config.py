@@ -122,6 +122,9 @@ def from_dict(data: dict) -> RunConfig:
         if cal_reps < 1:
             raise ConfigError(f"calibration.repetitions must be >= 1, got {cal_reps}")
         _check_runs(experiment, cal_reps, "calibration.repetitions")
+        if cal["reuse_records"]:
+            raise ConfigError("calibration.repetitions and calibration.reuse_records both "
+                              "set: reused records calibrate on their own repetitions")
     _check_runs(experiment, experiment.repetitions, "repetitions")
     return RunConfig(experiment=experiment,
                      calibration_repetitions=cal_reps,

@@ -31,6 +31,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from .channels import (
+    TAU_MAX,
     DeviceModel,
     apply_device,
     check_gamma,
@@ -38,7 +39,6 @@ from .channels import (
     mixed_projection_probs,
     quadrature_projection_probs,
 )
-from .pulses import GRID_TAU_MARGIN
 
 N_RECORDED = 4   # projections n = 0..3 enter the records, as in the estimator
 RATE_MODES = N_RECORDED + 1   # crosstalk reaches a recorded mode from mode 4 at most
@@ -78,7 +78,7 @@ MAX_RUNS = 2**19
 # at most MAX_RUNS increments std * z, and numpy's normal keeps |z| < 12.23
 # (3.654 + sqrt(2 * 53 ln 2): its ziggurat tail draws 53-bit uniforms).
 MAX_DRIFT_STD = ((2.0 * sys.float_info.max ** (1.0 / (RATE_MODES - 1))
-                  - GRID_TAU_MARGIN / 2.0) / (12.3 * MAX_RUNS))
+                  - TAU_MAX / 2.0) / (12.3 * MAX_RUNS))
 
 # spawn-key tags keep count streams and drift streams disjoint
 _COUNT_STREAM = 0
@@ -128,11 +128,11 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         object.__setattr__(self, "gammas", tuple(check_gamma(float(g)) for g in self.gammas))
-        outside = [t for t in self.tau_grid if not 0 <= t <= GRID_TAU_MARGIN]
+        outside = [t for t in self.tau_grid if not 0 <= t <= TAU_MAX]
         if outside:
-            raise ValueError(f"tau_grid values must lie in [0, {GRID_TAU_MARGIN:g}], the "
-                             f"separations of pulses.GRID, which the incoherent intensity "
-                             f"FI integrates on and MAX_DRIFT_STD is derived from; "
+            raise ValueError(f"tau_grid values must lie in [0, TAU_MAX = {TAU_MAX:g}], "
+                             f"where the incoherent intensity FI's quadrature holds full "
+                             f"precision and from which MAX_DRIFT_STD is derived; "
                              f"got {outside[0]}")
         for key in ("tau_grid", "gammas"):
             values = getattr(self, key)

@@ -1,8 +1,9 @@
 """Brute-force and finite-difference oracles the closed forms of tempres are checked against.
 
-None of this runs in the commands: waveforms with their own grids and
-quadrature inner products, HG modes and trapezoid overlap integrals on GRID,
-finite-difference Fisher information, and single runs of the sampler.
+None of this runs in the commands: the Gaussian pulse sampled on a standard
+time grid, waveforms with their own grids and quadrature inner products, HG
+modes and trapezoid overlap integrals on GRID, finite-difference Fisher
+information, and single runs of the sampler.
 """
 
 import math
@@ -13,23 +14,34 @@ import numpy as np
 
 from tempres import montecarlo
 from tempres.channels import hg_projection_probs, mixed_projection_probs
-from tempres.information import PROB_FLOOR
-from tempres.pulses import (
-    GRID,
-    GRID_HALF_WIDTH,
-    GRID_POINTS,
-    GRID_TAU_MARGIN,
-    gaussian_amplitude,
-)
+
+# Times are in units of the pulse width sigma_t.  GRID is wide enough that
+# Gaussian tails are far below double precision (|psi| < 1e-31 at 12 sigma_t)
+# for every separation up to GRID_TAU_MARGIN.
+GRID_HALF_WIDTH = 12.0   # in units of sigma_t, before the tau margin
+GRID_POINTS = 4096
+GRID_TAU_MARGIN = 4.0   # largest separation the standard grid covers
+
+# the standard grid, shared by every caller, so it is read-only
+GRID = np.linspace(-(GRID_HALF_WIDTH + GRID_TAU_MARGIN), GRID_HALF_WIDTH + GRID_TAU_MARGIN,
+                   GRID_POINTS)
+GRID.flags.writeable = False
 
 DEFAULT_FD_STEP = 1e-4
 
-# Zero-probability outcomes contribute 0/0 terms; both thresholds must hold
-# before a term is dropped, so genuinely inconsistent inputs still blow up.
+# Zero-probability outcomes and densities contribute 0/0 terms.  In
+# classical_fi_discrete both thresholds must hold before a term is dropped, so
+# genuinely inconsistent inputs still blow up.
+PROB_FLOOR = 1e-14
 DERIV_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------- waveforms
+
+def gaussian_amplitude(t):
+    """Unit-norm Gaussian amplitude (2 pi)^(-1/4) exp(-t^2 / 4)."""
+    return (2.0 * np.pi) ** (-0.25) * np.exp(-np.asarray(t, dtype=float) ** 2 / 4.0)
+
 
 @dataclass(frozen=True)
 class WaveformSamples:
@@ -106,6 +118,16 @@ def coherent_modes(tau: float, centroid_offset: float = 0.0):
     plus = gaussian_amplitude(t + tau / 2.0) / np.sqrt(2.0)
     minus = gaussian_amplitude(t - tau / 2.0) / np.sqrt(2.0)
     return (plus + minus) / np.sqrt(2.0), (plus - minus) / np.sqrt(2.0)
+
+
+def incoherent_density(tau: float) -> np.ndarray:
+    """Detection density (g(t + tau/2)^2 + g(t - tau/2)^2) / 2 of the incoherent pair, on GRID.
+
+    Its intensity FI is the one information.intensity_fi computes in closed
+    form; it has unit integral.
+    """
+    return (gaussian_amplitude(GRID + tau / 2.0) ** 2
+            + gaussian_amplitude(GRID - tau / 2.0) ** 2) / 2.0
 
 
 def trapezoid_projection_probs(mode_cutoff: int, tau: float, centroid_offset: float = 0.0):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    GRID,
     WaveformSamples,
     channel_probs,
     classical_fi_discrete,
@@ -25,14 +26,12 @@ from tempres import (
     ExperimentConfig,
     coherent_channel_fi_analytic,
     hg_projection_probs,
-    incoherent_intensity_profile,
     intensity_fi,
     quadrature_projection_probs,
 )
 from tempres import pipeline
 from tempres.cli import main
 from tempres.estimator import expected_detections
-from tempres.pulses import GRID
 
 SEED = 9
 TAUS = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)   # seven shifts, 0.1 sigma_t smallest
@@ -147,7 +146,7 @@ def test_criterion_4_modified_qfi_optimality():
 
 def test_criterion_5_rayleigh_curse():
     start = time.perf_counter()
-    values = {tau: intensity_fi(*incoherent_intensity_profile(tau))
+    values = {tau: intensity_fi(tau)
               for tau in (1.0, 0.5, 0.2, 0.1, 0.05)}
     ordered = [values[t] for t in (1.0, 0.5, 0.2, 0.1, 0.05)]
     elapsed = time.perf_counter() - start
@@ -165,7 +164,7 @@ def test_criterion_6_crb_saturation(ideal_run):
     for tau in TAUS:
         v = stats[(tau, 0.0)].variance_per_detection
         assert lo <= v <= hi, f"tau={tau}: variance per detection {v}"
-    fi_int = intensity_fi(*incoherent_intensity_profile(0.1))
+    fi_int = intensity_fi(0.1)
     intensity_crb = 1.0 / fi_int
     v01 = stats[(0.1, 0.0)].variance_per_detection
     assert v01 * 5.0 <= intensity_crb
@@ -180,7 +179,7 @@ def test_criterion_7_crosstalk_signature(crosstalk_run):
     smallest = min(TAUS)
     v_incoh = stats[(smallest, 0.5)].variance_per_detection
     v_coh = stats[(smallest, 0.0)].variance_per_detection
-    fi_int = intensity_fi(*incoherent_intensity_profile(smallest))
+    fi_int = intensity_fi(smallest)
     assert v_incoh > v_coh
     assert v_incoh < 1.0 / fi_int
     assert elapsed < 120.0

@@ -7,18 +7,22 @@ import numpy as np
 import pytest
 
 import tempres
-from oracles import coherent_modes, poisson_pmf, trapezoid_projection_probs
+from oracles import (
+    GRID,
+    coherent_modes,
+    incoherent_density,
+    poisson_pmf,
+    trapezoid_projection_probs,
+)
 from tempres import (
     DeviceModel,
     apply_device,
     hg_projection_probs,
-    incoherent_intensity_profile,
     mixed_projection_probs,
     quadrature_projection_probs,
 )
 from tempres.channels import check_gamma
 from tempres.montecarlo import DEFAULT_TAU_GRID
-from tempres.pulses import GRID
 
 GAMMA_GRID = [0.0, 0.125, 0.25, 0.375, 0.5]
 MODE_CUTOFF = 8
@@ -151,8 +155,7 @@ def test_gamma_range_check():
 
 def test_incoherent_profile_unit_total(grid):
     for tau in (0.1, 1.0, 2.0):
-        density, _ = incoherent_intensity_profile(tau)
-        assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-9)
+        assert np.trapezoid(incoherent_density(tau), grid) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_apply_device_identity():

@@ -7,8 +7,8 @@ import pytest
 
 from tempres import ExperimentConfig
 from tempres import config as config_mod
-from tempres import montecarlo
-from tempres.cli import CliError, main, read_records
+from tempres import montecarlo, pipeline
+from tempres.cli import CliError, fmt, main, read_records
 from tempres.config import ConfigError
 
 SMALL = {
@@ -145,6 +145,10 @@ BAD_CONFIGS = {
     "non-utf8-bytes": (b'{"repetitions": 2, "x": "\xff"}', "not UTF-8"),
     # a walk this wide overflows the displaced-pulse amplitudes (a**4 past 1.8e308)
     "huge-drift-std": ({"repetitions": 3, "drift": {"std": 1e77}}, "drift std"),
+    # reused records calibrate on their own runs: calibration.repetitions would go unused
+    "repetitions-and-reuse_records": (
+        {"calibration": {"repetitions": 4, "reuse_records": True}},
+        "calibration.repetitions and calibration.reuse_records"),
 }
 
 
@@ -497,6 +501,24 @@ def test_reproduce_fig2_tracks_diagonal(tmp_path, small_config):
             assert abs(float(mean) - float(tau_true)) < 2.5 * float(std)
 
 
+def test_reproduce_calibrates_on_reused_records(tmp_path):
+    # with reuse_records the figure's own runs calibrate too, the call estimate
+    # makes; fresh calibration runs would leave every mean as it was without the key
+    means = {}
+    for reuse in (False, True):
+        config = tmp_path / f"{reuse}.json"
+        config.write_text(json.dumps({"repetitions": 5,
+                                      "calibration": {"reuse_records": reuse}}))
+        out = tmp_path / f"fig2-{reuse}"
+        assert main(["reproduce", "fig2", "--config", str(config), "--out", str(out)]) == 0
+        means[reuse] = [row[2] for row in read_csv(out / "fig2.csv")[1:]]
+    cfg = ExperimentConfig(gammas=(0.0, 0.25, 0.5), repetitions=5)
+    records = montecarlo.run_experiment(cfg)
+    result = pipeline.run_pipeline(cfg, records=records, calibration_records=records)
+    assert means[True] == [fmt(s.mean) for s in result.stats]
+    assert means[True] != means[False]
+
+
 def replace_counts(path, count):
     rows = read_csv(path)
     with open(path, "w", newline="") as fh:
@@ -632,19 +654,18 @@ GOLDEN = [
     # and 6, 8 and 3 printed values change in their last digits
     (["reproduce", "fig2"], "fig2.csv",
      "31c5443bb5e533297309f85deb67bf4db3af4e6ea520e6d712be3b143e0771b6"),
-    # fisher_report.csv moved when fi_int_s and fi_int_a came to be the closed
-    # form of the coherent ports' FI instead of an integral on GRID: fi_int_a
-    # reads its limit 0.25 at tau = 0 (it read 0, where PROB_FLOOR dropped the
-    # whole a-port density), and fi_int_s at tau = 0.75 changes in its last digit
+    # fisher_report.csv moved when intensity_fi came to sum one
+    # cancellation-free integrand instead of integrating the incoherent density
+    # on a grid with a probability floor: fi_int_incoh at tau = 0.25 and 1 now
+    # equals the 40-digit value in all 12 printed digits (4 rows, last digits)
     (["fisher"], "fisher_report.csv",
-     "73a33b20db5641e77706d8be11f65aca85812f3589fef754808328defef38ee0"),
-    # the intensity_crb rows of fig3.csv and fig4.csv moved when intensity_fi
-    # came to integrate the closed-form density derivatives instead of a
-    # finite difference, and other values changed in their last digits
+     "01bf6d145a552ef802c5e07767d3f79bd6190f946b0c07faa435a0bfd0396757"),
+    # fig3.csv and fig4.csv moved with it: intensity_crb at tau = 0.5 and 1
+    # (2 rows each, last digit), now the 40-digit value rounded to 12 digits
     (["reproduce", "fig3"], "fig3.csv",
-     "a5a7baea5ee40c5d2faebc9e4c90b66f2b3a4770064ac4a83a9b093b983d692d"),
+     "3df9681064705deb23f53e160a48bceba5b2f30881a0c23ebb129ed66359976f"),
     (["reproduce", "fig4"], "fig4.csv",
-     "4d6890f8c22956d08b40dcc5c0ee923a3377ccbf71800ae41dc95455565db609"),
+     "2957f970e7ae6a743ce7b7bee2c08951dadf25dd442a533319a156fe6936c674"),
     (["reproduce", "fig3", "--svg"], "fig3.svg",
      "bee5b377d297221319c88613f53680b8fb7b8cefc8c699b7f75d17fb832bc25c"),
 ]

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from oracles import (
+    GRID,
     WaveformSamples,
     channel_probs,
     classical_fi_discrete,
     coherent_modes,
     fd_intensity_fi,
+    gaussian_amplitude,
+    incoherent_density,
     modified_qfi,
 )
 from tempres import (
     QFI,
     coherent_channel_fi_analytic,
     fisher_report,
-    gaussian_amplitude,
     hg_projection_probs,
-    incoherent_intensity_profile,
     intensity_fi,
 )
+from tempres.channels import TAU_MAX
 from tempres.information import FisherReport, mixed_channel_fi_analytic
-from tempres.pulses import GRID
 
 # enough modes that truncation is negligible up to tau = 3 sigma_t
 WIDE_CUTOFF = 16
@@ -148,6 +149,46 @@ def test_fisher_report_small_tau_matches_decimal_reference(tau):
         assert_matches_decimal(value, reference)
 
 
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def decimal_intensity_fi(tau):
+    """Incoherent intensity FI at the binary value of tau, to 40 digits.
+
+    A trapezoid sum, spacing 1/16 on [-16, 16], of the direct integrand, with
+    d = tau/2,
+
+        (dP/dtau)^2 / P = ((t - d) phi(t - d) - (t + d) phi(t + d))^2
+                          / (8 (phi(t - d) + phi(t + d))):
+
+    it shares no identity with intensity_fi's form, and its poles at
+    t = +/- i pi / tau leave an error near exp(-32 pi^2 / tau), below 1e-34 at
+    tau = 4.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(tau) / 2
+        scale = 1 / (2 * PI_40).sqrt()
+        total = Decimal(0)
+        for k in range(-256, 257):
+            t = Decimal(k) / 16
+            early = scale * (-(t - d) ** 2 / 2).exp()   # phi(t - d)
+            late = scale * (-(t + d) ** 2 / 2).exp()    # phi(t + d)
+            total += ((t - d) * early - (t + d) * late) ** 2 / (8 * (early + late))
+        return total / 16
+
+
+@pytest.mark.parametrize("tau", [1e-8, 1e-4, 1e-2, 1 / 6, 0.5, 1.0, 2.0, 4.0])
+def test_intensity_fi_matches_decimal_reference(tau):
+    assert_matches_decimal(intensity_fi(tau), decimal_intensity_fi(tau))
+
+
+@pytest.mark.parametrize("tau", [-1e-3, TAU_MAX * (1 + 2**-52), float("nan")])
+def test_intensity_fi_rejects_tau_outside_range(tau):
+    with pytest.raises(ValueError, match="tau must lie"):
+        intensity_fi(tau)
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.5, 1.0, 2.0])
 def test_intensity_fi_coherent_sum(tau):
     report = fisher_report(tau, 0.0)
@@ -172,9 +213,7 @@ PROFILES = {
           lambda tau: fisher_report(tau, 0.0).fi_intensity_s, 0.0),
     "a": (lambda tau: coherent_modes(tau)[1] ** 2,
           lambda tau: fisher_report(tau, 0.0).fi_intensity_a, QFI),
-    # the finite difference leaves about 1e-23 at tau = 0
-    "incoherent": (lambda tau: incoherent_intensity_profile(tau)[0],
-                   lambda tau: intensity_fi(*incoherent_intensity_profile(tau)), 0.0),
+    "incoherent": (incoherent_density, intensity_fi, 0.0),
 }
 
 
@@ -187,22 +226,24 @@ def test_intensity_fi_closed_form_matches_finite_differences(which):
 
 
 def test_rayleigh_curse_monotone_decay():
-    values = [intensity_fi(*incoherent_intensity_profile(tau))
-              for tau in (1.0, 0.5, 0.2, 0.1, 0.05)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] > 0
+    # the intensity FI falls to exactly 0 as the pulses merge, along the series
+    # tau^2/8 (1 - tau^2/2 + tau^4/3 + ...)
+    values = [intensity_fi(tau) for tau in np.linspace(0.0, TAU_MAX, 401)]
+    assert values[0] == 0.0
+    assert all(a < b for a, b in zip(values, values[1:]))
+    for tau in (1e-8, 1e-6, 1e-5, 1e-4):
+        assert intensity_fi(tau) == pytest.approx(tau**2 / 8 * (1 - tau**2 / 2), rel=1e-12)
 
 
 def test_rayleigh_curse_frozen_fixture():
-    value = intensity_fi(*incoherent_intensity_profile(0.1))
+    value = intensity_fi(0.1)
     assert value == pytest.approx(INCOH_INTENSITY_FI_AT_0P1, rel=1e-6)
     assert value < 0.01 * QFI
 
 
 def test_incoherent_intensity_below_mode_projection():
-    for tau in (0.05, 0.2, 0.5, 0.9):
-        fi_int = intensity_fi(*incoherent_intensity_profile(tau))
-        assert fi_int < 0.25
+    for tau in np.linspace(0.0, TAU_MAX, 401):
+        assert intensity_fi(tau) < QFI
 
 
 def test_mixed_channel_fi_analytic():

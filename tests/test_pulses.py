@@ -3,14 +3,14 @@ import pytest
 
 import oracles
 from oracles import (
+    GRID,
     WaveformSamples,
     coherent_modes,
+    gaussian_amplitude,
     hg_amplitude,
     make_grid,
     quadrature_inner_product,
 )
-from tempres import gaussian_amplitude
-from tempres.pulses import GRID
 
 
 def test_gaussian_peak_value():
