@@ -42,8 +42,8 @@ class DeviceModel:
             raise ValueError(f"crosstalk_eps must be in [0, 1), got {self.crosstalk_eps}")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if self.dark_rate < 0:
-            raise ValueError(f"dark_rate must be >= 0, got {self.dark_rate}")
+        if not 0.0 <= self.dark_rate < math.inf:
+            raise ValueError(f"dark_rate must be finite and >= 0, got {self.dark_rate}")
 
 
 @functools.lru_cache(maxsize=4)

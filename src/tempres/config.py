@@ -8,7 +8,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .channels import DeviceModel
-from .montecarlo import DEFAULT_GAMMAS, MAX_RUNS, DriftSpec, ExperimentConfig
+from .montecarlo import DEFAULT_GAMMAS, MAX_RUNS, DriftSpec, ExperimentConfig, _plain_int
 
 
 class ConfigError(ValueError):
@@ -58,10 +58,10 @@ def _merge(defaults, data, path):
 
 def _integer(value, key):
     """A JSON integer; an integral float such as 3.0 also counts."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return _plain_int(value, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _number(value, key):

@@ -11,15 +11,15 @@ cell (ti, gi) is
 and drift increment j of the cell is the standard normal of spawn key
 (1, ti, gi, j).  So every record is independent of evaluation order.
 
-The grid is walked in blocks of at most _HASH_BLOCK_RUNS runs, taken across
-cells in grid order; a cell that crosses a block edge is split into
-contiguous ranges of runs.  Each block's count keys are hashed in one
-vectorized pass (numpy's SeedSequence algorithm, `_stream_words`), and each
-hash goes to numpy's PCG64, which seeds itself from it: the same numbers,
-without a SeedSequence object per draw.  The sampler replays the drift walk of
-a range of runs from the start of the first run's period.  The no-offset rates
-of a cell are computed once (`detection_rates` is memoized); each drifted run
-takes its own.  Both come from the pulses' HG amplitudes.
+The count keys of the whole grid form one stream in grid order (`_count_words`),
+hashed _HASH_BLOCK_RUNS runs at a time across cells, each block in one
+vectorized pass (numpy's SeedSequence algorithm, `_stream_words`); each hash
+goes to numpy's PCG64, which seeds itself from it: the same numbers, without a
+SeedSequence object per draw.  Each cell is sampled whole: it takes its runs'
+rows from that stream, wherever the block edges fall, and walks its drift from
+run 0.  The no-offset rates of a cell are computed once (`detection_rates` is
+memoized); each drifted run takes its own.  Both come from the pulses' HG
+amplitudes.
 """
 
 import functools
@@ -67,9 +67,12 @@ MAX_COUNT_SCALE = 1e150
 MAX_NORMALIZED_COUNT = 2000 * MAX_COUNT_SCALE
 
 # Runs in one simulated table, the most a loaded config may ask for.  A run is
-# held as a DetectionRecord of about 1.4 kB, and the pipeline peaks at about
-# 4 kB per run (analysis records, calibration records and estimates;
-# tracemalloc on the default grid), so 2**19 runs keep that peak near 2 GiB.
+# held as a DetectionRecord of about 340 B, and the pipeline and `estimate` peak
+# at 0.73-0.91 kB per run (analysis records, calibration records and estimates;
+# tracemalloc on the default grid), so 2**19 runs keep that peak under 0.5 GiB.
+# A drifted cell hashes all its drift increments in one call, about 50 B per run
+# while it is sampled (tracemalloc on one 20,000-run cell, against about 345 B
+# per held record), so a table of one 2**19-run cell adds about 26 MiB to it.
 MAX_RUNS = 2**19
 
 # Largest drift std, about 3.6e70: the displaced-pulse amplitudes raise half a
@@ -101,6 +104,14 @@ DEFAULT_TAU_GRID = tuple(i / 6.0 for i in range(7))
 DEFAULT_GAMMAS = (0.0, 0.125, 0.25, 0.375, 0.5)
 
 
+def _plain_int(value, name: str) -> int:
+    """value as a Python int; a numpy integer or an integral float counts, a bool does not."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DriftSpec:
     """Slow timing drift: Gaussian random-walk centroid offset, recentered periodically."""
@@ -111,6 +122,8 @@ class DriftSpec:
     def __post_init__(self):
         if not 0 <= self.std < math.inf:
             raise ValueError(f"drift std must be finite and >= 0, got {self.std}")
+        object.__setattr__(self, "recenter_period",
+                           _plain_int(self.recenter_period, "recenter_period"))
         if self.recenter_period < 1:
             raise ValueError(f"recenter period must be >= 1, got {self.recenter_period}")
 
@@ -142,6 +155,8 @@ class ExperimentConfig:
                 repeated = next(v for i, v in enumerate(values) if v in values[:i])
                 raise ValueError(f"{key} values must be distinct, got {repeated:g} twice: "
                                  "one (tau, gamma) cell would hold two sets of runs")
+        for key in ("repetitions", "master_seed"):
+            object.__setattr__(self, key, _plain_int(getattr(self, key), key))
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if not 0 < self.mean_total_detections <= MAX_POISSON_MEAN:
@@ -297,28 +312,26 @@ def _seeded(master_seed: int, keys):
 
 
 def _drift_offsets(config: ExperimentConfig, tau_index: int, gamma_index: int,
-                   runs: range) -> list:
-    """Centroid offsets of a contiguous range of runs of one cell.
+                   n_runs: int) -> list:
+    """Centroid offsets of runs 0 .. n_runs - 1 of one cell.
 
-    The walk is replayed from the start of the first run's period: each
-    increment is drawn once, and each period sums its increments in run order
-    from 0.0.
+    Each increment is drawn once, and each period sums its increments in run
+    order from 0.0.
     """
     drift = config.drift
     if drift is None or drift.std == 0.0:
-        return [0.0] * len(runs)
+        return [0.0] * n_runs
     period = drift.recenter_period
-    walk = range(runs.start - runs.start % period, runs.stop)
     steps = _seeded(config.master_seed, [(_DRIFT_STREAM, tau_index, gamma_index, run - 1)
-                                         for run in walk if run % period])
+                                         for run in range(n_runs) if run % period])
     offsets = []
-    for run in walk:   # walk starts a period, so offset is set before it is read
+    for run in range(n_runs):   # run 0 starts a period, so offset is set before it is read
         if run % period:
             offset += drift.std * next(steps).standard_normal()
         else:
             offset = 0.0
         offsets.append(offset)
-    return offsets[runs.start - walk.start:]
+    return offsets
 
 
 def apply_drift(config: ExperimentConfig, tau_index: int, gamma_index: int,
@@ -326,27 +339,46 @@ def apply_drift(config: ExperimentConfig, tau_index: int, gamma_index: int,
     """Centroid offset at a given run: random walk reset every recenter period.
 
     The walk increments come from their own counter-derived streams, so the
-    offset at any run is rebuilt from the increments of its own period,
-    replayed from the period's start; no other run is needed.
+    offset at any run is the cell's walk from run 0 up to that run; no sampled
+    count is needed.  Its cost grows with run_index, as it draws every
+    increment before it; _drift_offsets gives all of a cell's offsets in one
+    walk.
     """
-    return _drift_offsets(config, tau_index, gamma_index,
-                          range(run_index, run_index + 1))[0]
+    return _drift_offsets(config, tau_index, gamma_index, run_index + 1)[-1]
 
 
-def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int,
-                 runs: range, words: np.ndarray) -> list:
-    """Records of a contiguous range of runs of one (tau, gamma) cell, in run order.
+def _count_words(config: ExperimentConfig):
+    """Yield the _stream_words row of every count key of the grid, in grid order.
 
-    words holds the _stream_words rows of the range's count keys, 2 * N_RECORDED
-    per run in key order: run, then channel, then projection.
+    Keys run over cell (c = ti * len(gammas) + gi), then run, then channel,
+    then projection.  They are hashed _HASH_BLOCK_RUNS runs at a time, across
+    cell edges, one block when the rows before it are used up.
+    """
+    reps = config.repetitions
+    n_gammas = len(config.gammas)
+    total = len(config.tau_grid) * n_gammas * reps
+    channel, mode = np.divmod(np.arange(2 * N_RECORDED), N_RECORDED)
+    for first in range(0, total, _HASH_BLOCK_RUNS):
+        cells, runs = np.divmod(np.arange(first, min(first + _HASH_BLOCK_RUNS, total)), reps)
+        tis, gis = np.divmod(cells, n_gammas)
+        keys = np.stack(np.broadcast_arrays(_COUNT_STREAM, tis[:, None], gis[:, None],
+                                            runs[:, None], channel, mode), axis=-1)
+        yield from _stream_words(config.master_seed, keys.reshape(-1, keys.shape[-1]))
+
+
+def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int, rows) -> list:
+    """Records of every run of one (tau, gamma) cell, in run order.
+
+    rows yields the _stream_words rows of the cell's count keys, 2 * N_RECORDED
+    per run in key order: run, then channel, then projection.  The cell takes
+    exactly its own rows and leaves the rest to the cells after it.
     """
     tau = config.tau_grid[tau_index]
     gamma = config.gammas[gamma_index]
     scale = config.mean_total_detections
-    offsets = _drift_offsets(config, tau_index, gamma_index, runs)
-    rows = iter(words)
+    offsets = _drift_offsets(config, tau_index, gamma_index, config.repetitions)
     records = []
-    for run, offset in zip(runs, offsets):
+    for run, offset in enumerate(offsets):
         rate_s, rate_a = detection_rates(config, tau, gamma, offset)
         # Python float products round exactly as numpy's float64 ones do
         means = [scale * rate for rate in rate_s[:N_RECORDED].tolist()
@@ -360,29 +392,8 @@ def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int,
 def run_experiment(config: ExperimentConfig):
     """All records over the full tau x gamma x repetition grid, in grid order.
 
-    Run r of cell c sits at flat index c * repetitions + r, and cell c is
-    (c // len(gammas), c % len(gammas)); each block of flat indices is hashed
-    in one pass, then sampled one cell's range at a time.
+    Every cell is sampled whole from the one grid-order stream of count hashes.
     """
-    reps = config.repetitions
-    n_gammas = len(config.gammas)
-    total = len(config.tau_grid) * n_gammas * reps
-    draws = 2 * N_RECORDED
-    channel, mode = np.divmod(np.arange(draws), N_RECORDED)
-    records = []
-    for first in range(0, total, _HASH_BLOCK_RUNS):
-        stop = min(first + _HASH_BLOCK_RUNS, total)
-        cells, runs = np.divmod(np.arange(first, stop), reps)
-        tis, gis = np.divmod(cells, n_gammas)
-        keys = np.stack(np.broadcast_arrays(_COUNT_STREAM, tis[:, None], gis[:, None],
-                                            runs[:, None], channel, mode), axis=-1)
-        words = _stream_words(config.master_seed, keys.reshape(-1, keys.shape[-1]))
-        start = first
-        while start < stop:
-            cell, run = divmod(start, reps)
-            end = min(stop, (cell + 1) * reps)
-            ti, gi = divmod(cell, n_gammas)
-            rows = slice(draws * (start - first), draws * (end - first))
-            records += _sample_cell(config, ti, gi, range(run, run + end - start), words[rows])
-            start = end
-    return records
+    rows = _count_words(config)
+    return [record for ti in range(len(config.tau_grid)) for gi in range(len(config.gammas))
+            for record in _sample_cell(config, ti, gi, rows)]

@@ -3,7 +3,8 @@
 None of this runs in the commands: the Gaussian pulse sampled on a standard
 time grid, waveforms with their own grids and quadrature inner products, HG
 modes and trapezoid overlap integrals on GRID, finite-difference Fisher
-information, and single runs of the sampler.
+information, and a per-draw sampler: one numpy generator per count and per
+drift step.
 """
 
 import math
@@ -240,10 +241,30 @@ def fd_intensity_fi(profile_fn, tau: float) -> float:
 
 # ------------------------------------------------------------------ sampler
 
+def reference_rng(config, *key):
+    return np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+
+
+def reference_offset(config, ti, gi, run):
+    """The drift offset, replayed from its period's start with one rng per step."""
+    drift = config.drift
+    if drift is None or drift.std == 0.0:
+        return 0.0
+    start = (run // drift.recenter_period) * drift.recenter_period
+    total = 0.0
+    for j in range(start, run):
+        total += drift.std * reference_rng(config, 1, ti, gi, j).standard_normal()
+    return total
+
+
 def sample_run(config, tau_index: int, gamma_index: int, run_index: int):
-    """Poisson counts for the first four projections of both channels, one run."""
-    words = montecarlo._stream_words(
-        config.master_seed, [(0, tau_index, gamma_index, run_index, ch, n)
-                             for ch in range(2) for n in range(montecarlo.N_RECORDED)])
-    return montecarlo._sample_cell(config, tau_index, gamma_index,
-                                   range(run_index, run_index + 1), words)[0]
+    """One run of the per-draw sampler: one default_rng(SeedSequence) per count
+    and drift step, built from the spawn keys alone."""
+    tau, gamma = config.tau_grid[tau_index], config.gammas[gamma_index]
+    rates = montecarlo.detection_rates(
+        config, tau, gamma, reference_offset(config, tau_index, gamma_index, run_index))
+    counts = [tuple(int(reference_rng(config, 0, tau_index, gamma_index, run_index, ch, n)
+                        .poisson(config.mean_total_detections * rates[ch][n]))
+                    for n in range(montecarlo.N_RECORDED))
+              for ch in range(2)]
+    return montecarlo.DetectionRecord(tau, gamma, run_index, *counts)

@@ -187,6 +187,9 @@ def test_device_model_validation():
         DeviceModel(efficiency=0.0)
     with pytest.raises(ValueError):
         DeviceModel(dark_rate=-1.0)
+    for dark_rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dark_rate must be finite"):
+            DeviceModel(dark_rate=dark_rate)
 
 
 @pytest.mark.parametrize("mode_cutoff", [4, 8, 64])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_run
+from oracles import reference_offset, sample_run
 from tempres import DeviceModel, DriftSpec, ExperimentConfig, montecarlo, run_experiment
 from tempres.channels import hg_projection_probs, quadrature_projection_probs
 from tempres.estimator import CALIBRATION_SEED_OFFSET
@@ -60,8 +60,7 @@ def test_sample_run_is_independent_of_evaluation_order():
 
 def test_coherent_tau_zero_counts():
     cfg = small_config()
-    for run in range(5):
-        record = sample_run(cfg, 0, 0, run)   # tau = 0, gamma = 0
+    for record in run_experiment(cfg)[:cfg.repetitions]:   # cell 0: tau = 0, gamma = 0
         assert record.counts_a == (0, 0, 0, 0)
         assert record.counts_s[1:] == (0, 0, 0)
         assert record.counts_s[0] > 0
@@ -144,6 +143,21 @@ def test_config_validation():
         ExperimentConfig(mean_total_detections=0.0)
     with pytest.raises(ValueError):
         DriftSpec(std=-1.0)
+    # run counts and seeds are integers: range() would reject a float only
+    # once sampling began, and a float seed would hash as its integer part
+    for key, value in (("repetitions", 2.5), ("repetitions", True), ("repetitions", "3"),
+                       ("master_seed", 1.5), ("master_seed", np.True_),
+                       ("master_seed", float("inf"))):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            ExperimentConfig(**{key: value})
+    for period in (1.5, True):
+        with pytest.raises(ValueError, match="recenter_period must be an integer"):
+            DriftSpec(std=0.1, recenter_period=period)
+    # numpy integers and integral floats count, and are held as Python ints
+    cfg = ExperimentConfig(repetitions=np.int64(2), master_seed=np.uint64(2**63),
+                           drift=DriftSpec(0.1, recenter_period=3.0))
+    held = (cfg.repetitions, cfg.master_seed, cfg.drift.recenter_period)
+    assert held == (2, 2**63, 3) and {type(v) for v in held} == {int}
 
 
 @pytest.mark.parametrize("counts", [
@@ -258,36 +272,10 @@ def test_spawn_key_word_out_of_range_raises(key):
         _stream_words(0, [key])
 
 
-def reference_rng(config, *key):
-    return np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
-
-
-def reference_offset(config, ti, gi, run):
-    """The drift offset, replayed from its period's start with one rng per step."""
-    drift = config.drift
-    if drift is None or drift.std == 0.0:
-        return 0.0
-    start = (run // drift.recenter_period) * drift.recenter_period
-    total = 0.0
-    for j in range(start, run):
-        total += drift.std * reference_rng(config, 1, ti, gi, j).standard_normal()
-    return total
-
-
 def reference_experiment(config):
-    """The per-draw sampler: one default_rng(SeedSequence) per count and drift step."""
-    records = []
-    for ti, tau in enumerate(config.tau_grid):
-        for gi, gamma in enumerate(config.gammas):
-            for run in range(config.repetitions):
-                rates = detection_rates(config, tau, gamma,
-                                        reference_offset(config, ti, gi, run))
-                counts = [tuple(int(reference_rng(config, 0, ti, gi, run, ch, n).poisson(
-                                    config.mean_total_detections * rates[ch][n]))
-                                for n in range(4))
-                          for ch in range(2)]
-                records.append(DetectionRecord(tau, gamma, run, *counts))
-    return records
+    """The per-draw sampler over the whole grid, in grid order."""
+    return [sample_run(config, ti, gi, run) for ti in range(len(config.tau_grid))
+            for gi in range(len(config.gammas)) for run in range(config.repetitions)]
 
 
 def experiment_configs(drift):
@@ -313,7 +301,7 @@ def assert_matches_the_per_draw_sampler(config):
     for ti in range(len(config.tau_grid)):
         for gi in range(len(config.gammas)):
             expected = [reference_offset(config, ti, gi, run) for run in runs]
-            assert _drift_offsets(config, ti, gi, runs) == expected
+            assert _drift_offsets(config, ti, gi, config.repetitions) == expected
             assert [apply_drift(config, ti, gi, run) for run in runs] == expected
 
 
@@ -332,8 +320,8 @@ def test_drifted_run_experiment_matches_the_per_draw_sampler(config):
     assert_matches_the_per_draw_sampler(config)
 
 
-# Blocks of a few runs split cells, and drift periods, at block edges; the
-# default block holds more runs than any config drawn here.
+# Blocks of a few runs put their edges inside cells; the default block holds
+# more runs than any config drawn here.
 BLOCK_RUNS = [1, 3, 5]
 
 
@@ -348,8 +336,9 @@ def test_run_experiment_matches_the_per_draw_sampler_in_small_blocks(block_runs,
 
 @pytest.mark.parametrize("block_runs", BLOCK_RUNS)
 def test_drift_period_straddling_a_block_edge(block_runs, monkeypatch):
-    # 7 runs per cell and a period of 4: periods [4, 8) of cell 0 and [0, 4) of
-    # cell 1 (flat runs 7-10) each cross an edge of every block size here
+    # 7 runs per cell and a period of 4: cells, not drift periods, straddle the
+    # hash-block edges; cell 0 (flat runs 0-6) and cell 1 (runs 7-13) each cross
+    # an edge of every block size here, and read their rows across it
     config = small_config(repetitions=7, drift=DriftSpec(std=0.1, recenter_period=4))
     blocks = []
 
