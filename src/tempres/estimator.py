@@ -1,10 +1,12 @@
 """Calibration and constrained GLS estimation of the pulse separation.
 
-Mirrors the measurement pipeline: the mean response of the first four HG
-projections in each channel is calibrated with a degree-4 polynomial in tau,
+Mirrors the measurement pipeline: the mean counts of the first four HG
+projections in each channel are calibrated with a degree-4 polynomial in tau,
 and each run's counts are inverted through a generalized least squares fit
-constrained to tau_hat >= 0.  Weights are inverse Poisson variances evaluated
-at a pilot unweighted estimate.
+constrained to tau_hat >= 0.  Weights are inverse Poisson variances of the
+counts, evaluated at a pilot unweighted estimate.  Everything is in counts,
+so mean_total_detections sets no limit of its own: only counts whose squares
+pass float range make the scan overflow.
 """
 
 import math
@@ -46,12 +48,12 @@ class EstimationError(ValueError):
 
 @dataclass(frozen=True)
 class CalibrationModel:
-    """Calibrated mean responses for one coherence setting.
+    """Calibrated mean counts for one coherence setting.
 
     Component order is fixed: channel s projections 0..3, then channel a
     projections 0..3.  coeffs[k] holds the ascending polynomial coefficients
-    of component k.  scan_terms is weighted_scan's coefficient table for
-    SCAN_POWERS.
+    of component k's mean count per run.  scan_terms is weighted_scan's
+    coefficient table for SCAN_POWERS.
     """
 
     coeffs: np.ndarray          # (8, POLY_DEGREE + 1)
@@ -59,7 +61,7 @@ class CalibrationModel:
     scan_terms: np.ndarray      # (16, 2 * POLY_DEGREE + 1)
 
     def mean_response(self, tau: float) -> np.ndarray:
-        """Calibrated mean normalized counts at one finite scalar tau, all 8 components."""
+        """Calibrated mean counts at one finite scalar tau, all 8 components."""
         return self.coeffs @ tau ** _EXPONENTS
 
 
@@ -83,10 +85,9 @@ class EstimateStats:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
 
 
-def record_components(record: DetectionRecord, mean_total_detections: float) -> np.ndarray:
-    """Counts normalized to probability units, in the fixed component order."""
-    counts = np.asarray(record.counts_s + record.counts_a, dtype=float)
-    return counts / mean_total_detections
+def record_components(record: DetectionRecord) -> np.ndarray:
+    """The run's counts as floats, in the fixed component order."""
+    return np.asarray(record.counts_s + record.counts_a, dtype=float)
 
 
 def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationModel:
@@ -105,9 +106,8 @@ def calibrate(records, gamma: float, config: ExperimentConfig) -> CalibrationMod
             f"calibration needs more than {POLY_DEGREE} distinct tau values, "
             f"got {len(taus)} for gamma = {gamma}")
 
-    # each row as record_components normalizes it, one array per tau
-    means = np.array([(np.array(groups[tau], dtype=float)
-                       / config.mean_total_detections).mean(axis=0) for tau in taus])
+    # each row as record_components makes it, in counts, one array per tau
+    means = np.array([np.array(groups[tau], dtype=float).mean(axis=0) for tau in taus])
 
     tau_arr = np.asarray(taus)
     try:
@@ -131,14 +131,14 @@ def _refine_minimum(objective: np.ndarray) -> float:
 
     The arithmetic runs on Python floats, which round exactly as float64
     scalars do.  A non-finite minimum (argmin picks the first NaN) means the
-    objective overflowed, for example counts / mean_total_detections beyond
-    float range; the scan then locates nothing, so it is an error.
+    objective overflowed, for example on counts whose squares pass float range
+    (above about 1e154); the scan then locates nothing, so it is an error.
     """
     j = int(objective.argmin())
     lowest = float(objective[j])
     if not math.isfinite(lowest):
         raise EstimationError(f"GLS scan objective is {lowest} at its minimum: the "
-                              "counts in units of mean_total_detections overflow")
+                              "counts overflow")
     if j == 0 or j == SCAN_POINTS - 1:
         return _SCAN_TAUS[j]
     y0, y1, y2 = objective[j - 1:j + 2].tolist()
@@ -171,22 +171,25 @@ def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
     """
     if not any(record.counts_s) and not any(record.counts_a):
         return GlsEstimate(0.0, True)
-    n_total = config.mean_total_detections
-    c = record_components(record, n_total)
+    c = record_components(record)
 
     terms = cal.scan_terms
     pilot = _refine_minimum(weighted_scan(c, _UNIT_WEIGHTS, terms, SCAN_POWERS))
-    means = np.maximum(cal.mean_response(pilot), 1.0 / n_total)
-    weights = n_total / means   # 1 / Var[counts/N] with Var = mean/N
+    # 1 / Var[count], with Var = mean count, floored at one count
+    weights = 1.0 / np.maximum(cal.mean_response(pilot), 1.0)
     tau_hat = _refine_minimum(weighted_scan(c, weights, terms, SCAN_POWERS))
     return GlsEstimate(tau_hat, False)
 
 
 def expected_detections(config: ExperimentConfig, tau: float, gamma: float):
-    """Expected recorded detections per run: (total, antisymmetric channel)."""
+    """Expected recorded detections per run: (total, antisymmetric channel).
+
+    Each mode's mean count is formed before the sum, as the sampler forms it,
+    so a dark rate near float range in per-detection units stays finite.
+    """
     rate_s, rate_a = detection_rates(config, tau, gamma)
-    n_s = config.mean_total_detections * rate_s[:N_RECORDED].sum()
-    n_a = config.mean_total_detections * rate_a[:N_RECORDED].sum()
+    n_s = (config.mean_total_detections * rate_s[:N_RECORDED]).sum()
+    n_a = (config.mean_total_detections * rate_a[:N_RECORDED]).sum()
     return n_s + n_a, n_a
 
 

@@ -11,7 +11,7 @@ def weighted_scan(counts, weights, terms, powers):
     Its 9 coefficients take one (16,) @ (16, 9) product, and its values on
     the scan grid one (9,) @ (9, J) product.
 
-    counts:  (K,) normalized counts
+    counts:  (K,) counts, in the units of the calibrated means
     weights: (K,) inverse variances
     terms:   (2K, 9) ascending coefficients: rows 0..K-1 are each m_k^2,
              rows K..2K-1 are -2 m_k, zero-padded

@@ -47,25 +47,6 @@ RATE_MODES = N_RECORDED + 1   # crosstalk reaches a recorded mode from mode 4 at
 # most mean_total_detections + dark_rate
 MAX_POISSON_MEAN = 1e18
 
-# Largest count scale, max(1, mean_total_detections + dark_rate) /
-# mean_total_detections: whenever anything is detected, a run's counts in units
-# of mean_total_detections reach it, times a Poisson tail factor.  The GLS scan
-# evaluates sum_k w_k (c_k - m_k(tau))^2 from its polynomial coefficients in tau,
-# so each coefficient, and each partial sum on the scan grid, is at most
-# sum_k w_k (c_k + M_k)^2, where M_k is the calibrated quartic m_k with its
-# coefficients made positive, at tau = SCAN_TAU_MAX.  m_k fits mean counts of
-# the same scale, and M_k stays near it while that fit is well conditioned on
-# the scan.  At the pilot scan's unit weights that is eight squares of at most
-# 2 x tail x scale, so 8 (2 x tail x scale)^2 must stay below 1.8e308; 1e150
-# leaves a tail factor of 2,000.  The calibration residuals square smaller
-# values.  The final scan's weights, mean_total_detections /
-# max(mean, 1 / mean_total_detections), bring each of its terms down to about a
-# raw count squared, so it adds no risk.
-MAX_COUNT_SCALE = 1e150
-# so a count read back from records.csv may reach the tail factor times the
-# count scale, in units of mean_total_detections, and no more
-MAX_NORMALIZED_COUNT = 2000 * MAX_COUNT_SCALE
-
 # Runs in one simulated table, the most a loaded config may ask for.  A run is
 # held as a DetectionRecord of about 340 B, and the pipeline and `estimate` peak
 # at 0.73-0.91 kB per run (analysis records, calibration records and estimates;
@@ -165,14 +146,10 @@ class ExperimentConfig:
         if not self.device.dark_rate <= MAX_POISSON_MEAN:
             raise ValueError(f"dark_rate must be at most {MAX_POISSON_MEAN:g}, "
                              f"got {self.device.dark_rate}")
-        count_scale = (max(1.0, self.mean_total_detections + self.device.dark_rate)
-                       / self.mean_total_detections)
-        if not count_scale <= MAX_COUNT_SCALE:
-            raise ValueError(
-                f"counts in units of mean_total_detections reach max(1, "
-                f"mean_total_detections + dark_rate) / mean_total_detections = "
-                f"{count_scale:g}, above MAX_COUNT_SCALE = {MAX_COUNT_SCALE:g}, where the "
-                f"GLS scan objective overflows")
+        if not math.isfinite(self.device.dark_rate / self.mean_total_detections):
+            raise ValueError(f"dark_rate / mean_total_detections, the dark rate in the "
+                             f"sampler's per-detection rate units, must be finite, got "
+                             f"{self.device.dark_rate:g} / {self.mean_total_detections:g}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.drift is not None and not self.drift.std <= MAX_DRIFT_STD:

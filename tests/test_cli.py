@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -525,22 +526,22 @@ def replace_counts(path, count):
         csv.writer(fh).writerows([rows[0]] + [row[:-1] + [count] for row in rows[1:]])
 
 
-def test_overflowing_scan_objective_exits_4(tmp_path, capsys):
-    # counts of 10**18 fit in int64 and load, but in units of the smallest
-    # mean_total_detections the count scale allows, 1e-150, they are 1e168,
-    # which would overflow when squared: rejected before the scan, without a
-    # numpy warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [10**18, 2**63 - 1], ids=["1e18", "int64-max"])
+def test_huge_counts_estimate_to_finite_tau_hat(tmp_path, capsys, count):
+    # the estimator works in counts, so no mean_total_detections scales them
+    # up: eight int64-maximum counts square to 6.8e38, far inside float range
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SMALL, "mean_total_detections": 1e-150}))
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
-    replace_counts(sim / "records.csv", str(10**18))
+    replace_counts(sim / "records.csv", str(count))
+    out = tmp_path / "out"
     assert main(["estimate", str(sim / "records.csv"), "--config", str(config),
-                 "--out", str(tmp_path / "out")]) == 4
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("tempres: ")
-    assert "1e+168 in units of mean_total_detections" in err[0]
-    assert "MAX_NORMALIZED_COUNT" in err[0]
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    tau_hats = [float(row[3]) for row in read_csv(out / "estimates.csv")[1:]]
+    assert len(tau_hats) == 120 and all(math.isfinite(t) for t in tau_hats)
 
 
 @pytest.mark.filterwarnings("error")
@@ -560,37 +561,61 @@ def test_count_beyond_int64_exits_4_at_read_time(tmp_path, capsys, small_config)
                                   ["reproduce", "fig2"]],
                          ids=["fisher", "simulate", "estimate", "reproduce"])
 def test_overflowing_count_scale_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # with dark counts of 1 per projection, one count is 1e300 in units of
-    # mean_total_detections, which overflows when squared
+    # a dark count of 1 per projection is inf per expected detection, the
+    # sampler's rate unit, at 5e-324: rejected before anything is simulated
     def simulate(config):
         raise AssertionError("simulated past the count-scale limit")
 
     monkeypatch.setattr(montecarlo, "run_experiment", simulate)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mean_total_detections": 1e-300,
+    config.write_text(json.dumps({"mean_total_detections": 5e-324,
                                   "device": {"dark_rate": 1}}))
     assert main(argv + ["--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("tempres: ")
-    assert "MAX_COUNT_SCALE" in err[0]
+    assert "dark_rate / mean_total_detections" in err[0]
 
 
 @pytest.mark.filterwarnings("error")
 def test_count_scale_limit_runs_clean_at_the_bound(tmp_path, capsys):
-    limit = montecarlo.MAX_COUNT_SCALE
-    for data in ({"mean_total_detections": 1 / limit},
-                 {"mean_total_detections": 1e18 / limit, "device": {"dark_rate": 1e18}}):
-        config_mod.from_dict(data)
-    for data in ({"mean_total_detections": 0.5 / limit},
-                 {"mean_total_detections": 1e-140, "device": {"dark_rate": 1e11}}):
-        with pytest.raises(ConfigError, match="MAX_COUNT_SCALE"):
+    # dark_rate / mean_total_detections must be finite: 1.7e308 is, 1.8e308 is not
+    config_mod.from_dict({"mean_total_detections": 1e-300, "device": {"dark_rate": 1.7e8}})
+    for data in ({"mean_total_detections": 1e-300, "device": {"dark_rate": 1.8e8}},
+                 {"mean_total_detections": 5e-324, "device": {"dark_rate": 1}}):
+        with pytest.raises(ConfigError, match="dark_rate / mean_total_detections"):
             config_mod.from_dict(data)
-    # every count is a dark count of about 1e150 in units of mean_total_detections
+    # 1.7e8 dark counts per projection at 1e-300 are 1.7e308 per expected
+    # detection, near float's largest, and sum past it unless each mode's mean
+    # count is formed first
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mean_total_detections": 1 / limit,
-                                  "device": {"dark_rate": 1}, "repetitions": 3}))
+    config.write_text(json.dumps({"mean_total_detections": 1e-300,
+                                  "device": {"dark_rate": 1.7e8}, "repetitions": 3}))
     assert main(["reproduce", "fig2", "--config", str(config),
                  "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# dark counts of 1 per projection are 1e150 and 1e300 per expected detection
+EXTREME_SCALES = [
+    {"mean_total_detections": 1e-150, "device": {"dark_rate": 1}},
+    {"mean_total_detections": 1e-300, "device": {"dark_rate": 1}},
+    {"mean_total_detections": 1e18, "device": {"dark_rate": 1e18}},
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["fisher"], ["simulate"], ["estimate"], ["reproduce", "fig2"]],
+                         ids=["fisher", "simulate", "estimate", "reproduce"])
+def test_extreme_count_scales_run_clean(tmp_path, capsys, argv):
+    for i, data in enumerate(EXTREME_SCALES):
+        config = tmp_path / f"{i}.json"
+        config.write_text(json.dumps({"repetitions": 3, **data}))
+        out = tmp_path / str(i)
+        command = argv
+        if argv == ["estimate"]:
+            assert main(["simulate", "--config", str(config), "--out", str(out / "sim")]) == 0
+            command = argv + [str(out / "sim" / "records.csv")]
+        assert main(command + ["--config", str(config), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -648,24 +673,24 @@ def test_manifest_digests_match_outputs(tmp_path, argv):
 GOLDEN = [
     (["simulate"], "records.csv",
      "98495d996dc47280b9e9d61984adcaaa88fe7d803d572fd29fd3e129cad30e79"),
-    # fig2-fig4 moved when mean_response came to be evaluated as one product
-    # with the powers of tau instead of by Horner's rule: the pilot's weights,
-    # and so tau_hat, round differently (by at most 3.3e-14 over 35,000 runs),
-    # and 6, 8 and 3 printed values change in their last digits
+    # fig2-fig4 moved when the estimator came to work in counts instead of in
+    # units of mean_total_detections: the same GLS objectives up to a constant
+    # factor, so tau_hat rounds differently (by at most 2.8e-12 over this
+    # config's 30 runs, 4.8e-14 over the default config's 3,500), and 8, 11
+    # and 4 printed values change in their last digits
     (["reproduce", "fig2"], "fig2.csv",
-     "31c5443bb5e533297309f85deb67bf4db3af4e6ea520e6d712be3b143e0771b6"),
+     "3346dcd5031dac8fb6c35fd31024739e2c7850acf20fe0862aab4c5c4a1c5c2a"),
     # fisher_report.csv moved when intensity_fi came to sum one
     # cancellation-free integrand instead of integrating the incoherent density
     # on a grid with a probability floor: fi_int_incoh at tau = 0.25 and 1 now
     # equals the 40-digit value in all 12 printed digits (4 rows, last digits)
     (["fisher"], "fisher_report.csv",
      "01bf6d145a552ef802c5e07767d3f79bd6190f946b0c07faa435a0bfd0396757"),
-    # fig3.csv and fig4.csv moved with it: intensity_crb at tau = 0.5 and 1
-    # (2 rows each, last digit), now the 40-digit value rounded to 12 digits
+    # fig3.csv and fig4.csv: the counts-unit estimator, as for fig2.csv above
     (["reproduce", "fig3"], "fig3.csv",
-     "3df9681064705deb23f53e160a48bceba5b2f30881a0c23ebb129ed66359976f"),
+     "976f6b1e4579ff03b3fc6697237ab35653f882ee6efe7ce260d9a9fe641ceaaf"),
     (["reproduce", "fig4"], "fig4.csv",
-     "2957f970e7ae6a743ce7b7bee2c08951dadf25dd442a533319a156fe6936c674"),
+     "065d2a04fff43daadf8ccd39c73c9da4733581c2495c103d49a7331cec0bcd06"),
     (["reproduce", "fig3", "--svg"], "fig3.svg",
      "bee5b377d297221319c88613f53680b8fb7b8cefc8c699b7f75d17fb832bc25c"),
 ]
@@ -687,10 +712,10 @@ def test_golden_output_digest_drift_device(tmp_path):
 
 
 GOLDEN_ESTIMATE = [
-    # both moved with mean_response's product form, as fig2-fig4 did: one
-    # tau_hat and 16 stats values change in their last printed digits
-    ("stats.csv", "1292c1a2edc942f89ccad7ee2d44b3d4209e9b9a662e3194256d2e45a75465d5"),
-    ("estimates.csv", "66eaa75f7e903ef4206d429050b274afaaddb9c743e95cf7acf3710c188fb557"),
+    # both moved with the counts-unit estimator, as fig2-fig4 did: 4 tau_hat
+    # and 18 stats values change in their last printed digits
+    ("stats.csv", "fb673b6ff36ac4dde6d98c345417553810e10295c36f39b2f9dda6d2192678e8"),
+    ("estimates.csv", "22b2724130f712cd0e16eadb09d026918590da92a1733c11c7677bcbe6b12d08"),
 ]
 
 

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from oracles import poisson_pmf
-from tempres import CalibrationError, ExperimentConfig, aggregate, calibrate, estimate_gls
+from tempres import (
+    CalibrationError,
+    DeviceModel,
+    DriftSpec,
+    ExperimentConfig,
+    aggregate,
+    calibrate,
+    estimate_gls,
+)
 from tempres.estimator import (
     SCAN_GRID,
     SCAN_POINTS,
@@ -62,8 +70,9 @@ def test_calibrate_matches_closed_form_response(config, noiseless_cal):
     # quartic fit of p_1(tau) over [0, 1]: truncation error is the tau^6 term
     taus = np.linspace(0.0, 1.0, 50)
     fitted = np.array([noiseless_cal.mean_response(t)[5] for t in taus])
-    exact = poisson_pmf(taus, 1)
-    assert np.abs(fitted - exact).max() < 5e-4
+    n_total = config.mean_total_detections
+    exact = n_total * poisson_pmf(taus, 1)
+    assert np.abs(fitted - exact).max() < 5e-4 * n_total
 
 
 def test_calibrate_constant_response(config):
@@ -71,8 +80,8 @@ def test_calibrate_constant_response(config):
                for tau in TAUS]
     cal = calibrate(records, 0.0, config)
     coeffs = cal.coeffs[0]   # channel s, n = 0
-    assert coeffs[0] == pytest.approx(1000 / config.mean_total_detections, rel=1e-9)
-    assert np.abs(coeffs[1:]).max() < 1e-12
+    assert coeffs[0] == pytest.approx(1000, rel=1e-9)
+    assert np.abs(coeffs[1:]).max() < 1e-12 * config.mean_total_detections
 
 
 def test_calibration_noise_shrinks_with_repetitions():
@@ -135,18 +144,18 @@ def test_aggregate_edge_cases():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_overflowing_record_raises_estimation_error(config, noiseless_cal):
-    # counts of 10**18 in units of mean_total_detections = 1e-150 are 1e168,
-    # which overflow when the scan squares them, so the scan minimum is inf
-    tiny = replace(config, mean_total_detections=1e-150)
-    record = DetectionRecord(0.5, 0.0, 0, (10**18,) * 4, (10**18,) * 4)
+    # counts of 10**160 (a DetectionRecord takes ints of any size) overflow
+    # when the scan squares them, so the scan minimum is inf
+    record = DetectionRecord(0.5, 0.0, 0, (10**160,) * 4, (10**160,) * 4)
     with pytest.raises(EstimationError, match="GLS scan objective is inf"):
-        estimate_gls(record, noiseless_cal, tiny)
+        estimate_gls(record, noiseless_cal, config)
 
 
 def test_record_components_order(config):
     record = DetectionRecord(0.1, 0.0, 0, (1, 2, 3, 4), (5, 6, 7, 8))
-    np.testing.assert_allclose(record_components(record, 10.0),
-                               np.arange(1, 9) / 10.0)
+    c = record_components(record)
+    assert c.dtype == float
+    np.testing.assert_array_equal(c, np.arange(1, 9))
 
 
 def test_expected_detections(config):
@@ -186,22 +195,28 @@ def reference_scan(counts, weights, model):
     return np.einsum("jk,k->j", resid * resid, weights)
 
 
-def reference_model(cal):
-    """Every component's calibrated mean at every scan point, (J, 8)."""
-    return npoly.polyval(SCAN_GRID, cal.coeffs.T).T
+def reference_model(cal, n_total):
+    """Every component's calibrated mean at every scan point, (J, 8), in
+    units of n_total (mean_total_detections)."""
+    return npoly.polyval(SCAN_GRID, cal.coeffs.T / n_total).T
+
+
+def normalized_counts(record, n_total):
+    return np.array(record.counts_s + record.counts_a, dtype=float) / n_total
 
 
 def reference_estimate_gls(record, cal, config):
-    """The estimator in its first form: np.clip, npoly.polyval, np.ones_like,
-    and squared residuals against the model at every scan point."""
-    c = record_components(record, config.mean_total_detections)
+    """The estimator in its first form, in units of mean_total_detections:
+    np.clip, npoly.polyval, np.ones_like, and squared residuals against the
+    model at every scan point."""
+    n_total = config.mean_total_detections
+    c = normalized_counts(record, n_total)
     if not np.any(c > 0):
         return GlsEstimate(0.0, True)
     ones = np.ones_like(c)
-    model = reference_model(cal)
+    model = reference_model(cal, n_total)
     pilot = reference_refine_minimum(SCAN_GRID, reference_scan(c, ones, model))
-    n_total = config.mean_total_detections
-    means = np.maximum(npoly.polyval(pilot, cal.coeffs.T), 1.0 / n_total)
+    means = np.maximum(npoly.polyval(pilot, cal.coeffs.T / n_total), 1.0 / n_total)
     weights = n_total / means
     return GlsEstimate(reference_refine_minimum(
         SCAN_GRID, reference_scan(c, weights, model)), False)
@@ -242,17 +257,20 @@ unphysical_counts = st.lists(st.integers(0, 2_000_000), min_size=8, max_size=8).
 def test_scan_objective_matches_the_reference_scan(counts, tau):
     # the coefficient form cancels sum_k w_k c_k^2 against the model terms, so
     # its error scales with them: measured at most 1.4e-15 of this scale over
-    # 6,000 count vectors with unit and Poisson weights
+    # 6,000 count vectors with unit and Poisson weights.  The reference works
+    # in units of mean_total_detections N, with the weights times N^2, which
+    # is the same objective.
     record = DetectionRecord(0.5, 0.0, 0, counts[:4], counts[4:])
     n_total = EQUIVALENCE.mean_total_detections
-    c = record_components(record, n_total)
+    c = record_components(record)
     for cal in equivalence_calibrations():
-        model = reference_model(cal)
-        poisson = n_total / np.maximum(cal.mean_response(tau), 1.0 / n_total)
+        model = npoly.polyval(SCAN_GRID, cal.coeffs.T).T
+        poisson = 1.0 / np.maximum(cal.mean_response(tau), 1.0)
         for w in (np.ones(8), poisson):
             scale = (w * (c * c + model * model)).sum(axis=1)
             error = weighted_scan(c, w, cal.scan_terms, SCAN_POWERS) - reference_scan(
-                c, w, model)
+                normalized_counts(record, n_total), w * n_total**2,
+                reference_model(cal, n_total))
             assert (np.abs(error) <= 1e-13 * scale).all()
 
 
@@ -294,6 +312,38 @@ def test_reference_examples_reach_both_scan_edges(counts, tau_hat):
     record = DetectionRecord(0.5, 0.0, 0, counts[:4], counts[4:])
     [cal, _] = equivalence_calibrations()
     assert reference_estimate_gls(record, cal, EQUIVALENCE).tau_hat == tau_hat
+
+
+# mean_total_detections from few counts to the sampler's limit, and a drifted
+# imperfect device, each calibrated on its own simulated runs at gamma = 0.25
+SCALES = {f"N={n:g}": replace(EQUIVALENCE, mean_total_detections=n) for n in (1e2, 1e4, 1e18)}
+SCALES["drift_device"] = replace(
+    EQUIVALENCE, mean_total_detections=1e4, drift=DriftSpec(0.05),
+    device=DeviceModel(crosstalk_eps=0.02, efficiency=0.9, dark_rate=1.0))
+_scale_calibrations = {}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(SCALES)), tau=st.floats(0.0, SCAN_TAU_MAX),
+       z=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
+def test_estimate_in_counts_matches_the_normalized_reference_to_1e_11(name, tau, z):
+    # estimate_gls works in counts, the reference in units of
+    # mean_total_detections: the same objectives up to a constant factor, so
+    # tau_hat differs by rounding only.  Counts lie within 3 Poisson sd of the
+    # mean counts at tau; the largest difference measured over 20,000 such
+    # runs was 8.9e-12, on the drifted device near tau = 1
+    config = SCALES[name]
+    if name not in _scale_calibrations:
+        _scale_calibrations[name] = calibrate(run_experiment(config), 0.25, config)
+    cal = _scale_calibrations[name]
+    rate_s, rate_a = detection_rates(config, tau, 0.25)
+    means = config.mean_total_detections * np.concatenate([rate_s[:4], rate_a[:4]])
+    counts = [round(max(m + zk * math.sqrt(m), 0.0)) for m, zk in zip(means, z)]
+    record = DetectionRecord(0.5, 0.25, 0, counts[:4], counts[4:])
+    estimate = estimate_gls(record, cal, config)
+    reference = reference_estimate_gls(record, cal, config)
+    assert estimate.low_information == reference.low_information
+    assert abs(estimate.tau_hat - reference.tau_hat) <= 1e-11
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -143,6 +143,12 @@ def test_config_validation():
         ExperimentConfig(mean_total_detections=0.0)
     with pytest.raises(ValueError):
         DriftSpec(std=-1.0)
+    # the sampler's rates carry dark_rate / mean_total_detections: 1e309 is inf,
+    # and any finite ratio holds, up to near float's largest
+    with pytest.raises(ValueError, match="dark_rate / mean_total_detections"):
+        ExperimentConfig(mean_total_detections=1e-300, device=DeviceModel(dark_rate=1e9))
+    for n_total, dark_rate in ((1e-300, 1.7e8), (0.5e-150, 1.0), (1e-140, 1e11), (5e-324, 0.0)):
+        ExperimentConfig(mean_total_detections=n_total, device=DeviceModel(dark_rate=dark_rate))
     # run counts and seeds are integers: range() would reject a float only
     # once sampling began, and a float seed would hash as its integer part
     for key, value in (("repetitions", 2.5), ("repetitions", True), ("repetitions", "3"),
