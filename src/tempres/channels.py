@@ -7,6 +7,7 @@ convex mixing of the two channel assignments with weight gamma in [0, 1/2].
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,13 @@ GAMMA_MIN, GAMMA_MAX = 0.0, 0.5
 # information.intensity_fi's trapezoid sum of spacing 1/8, near
 # exp(-2 pi^2 / (tau / 8)), stays below rounding; it grows to 2e-14 at tau = 6.
 TAU_MAX = 4.0
+
+
+def _plain_float(value, name: str) -> float:
+    """value as a Python float; an int or a numpy real counts, a bool or a string does not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_gamma(gamma: float) -> float:
@@ -38,6 +46,8 @@ class DeviceModel:
     dark_rate: float = 0.0   # expected dark counts per projection per run
 
     def __post_init__(self):
+        for key in ("crosstalk_eps", "efficiency", "dark_rate"):
+            object.__setattr__(self, key, _plain_float(getattr(self, key), key))
         if not 0.0 <= self.crosstalk_eps < 1.0:
             raise ValueError(f"crosstalk_eps must be in [0, 1), got {self.crosstalk_eps}")
         if not 0.0 < self.efficiency <= 1.0:
@@ -106,19 +116,16 @@ def mixed_projection_probs(probs_s: np.ndarray, probs_a: np.ndarray, gamma: floa
     return (1.0 - g) * probs_s + g * probs_a, g * probs_s + (1.0 - g) * probs_a
 
 
-def apply_device(probs: np.ndarray, dev: DeviceModel,
-                 dark_rate_normalized: float = 0.0) -> np.ndarray:
-    """Detected rate vector of one channel's probabilities P = probs under the device.
+def apply_device(probs: np.ndarray, dev: DeviceModel) -> np.ndarray:
+    """Detected probabilities of one channel's probabilities P = probs under the device.
 
-    rate(n) = eta [ (1 - eps) P(n) + eps/2 (P(n-1) + P(n+1)) ] + dark, with
-    reflection at n = 0 and absorption past the cutoff.  dark_rate_normalized
-    is the dark rate expressed in the same per-detection units as P (the
-    caller divides DeviceModel.dark_rate by the expected total detections).
+    eta [ (1 - eps) P(n) + eps/2 (P(n-1) + P(n+1)) ], with reflection at n = 0
+    and absorption past the cutoff.  Dark counts do not scale with the signal,
+    so detection_rates adds DeviceModel.dark_rate to the mean counts instead.
     """
     eps = dev.crosstalk_eps
     leaked = np.zeros_like(probs)
     leaked[1:] += 0.5 * eps * probs[:-1]
     leaked[:-1] += 0.5 * eps * probs[1:]
     leaked[0] += 0.5 * eps * probs[0]   # reflecting boundary below n = 0
-    rate = dev.efficiency * ((1.0 - eps) * probs + leaked) + dark_rate_normalized
-    return rate
+    return dev.efficiency * ((1.0 - eps) * probs + leaked)

@@ -182,15 +182,10 @@ def estimate_gls(record: DetectionRecord, cal: CalibrationModel,
 
 
 def expected_detections(config: ExperimentConfig, tau: float, gamma: float):
-    """Expected recorded detections per run: (total, antisymmetric channel).
-
-    Each mode's mean count is formed before the sum, as the sampler forms it,
-    so a dark rate near float range in per-detection units stays finite.
-    """
-    rate_s, rate_a = detection_rates(config, tau, gamma)
-    n_s = (config.mean_total_detections * rate_s[:N_RECORDED]).sum()
-    n_a = (config.mean_total_detections * rate_a[:N_RECORDED]).sum()
-    return n_s + n_a, n_a
+    """Expected recorded detections per run: (total, antisymmetric channel)."""
+    means = detection_rates(config, tau, gamma)
+    n_a = means[N_RECORDED:].sum()
+    return means[:N_RECORDED].sum() + n_a, n_a
 
 
 def aggregate(tau_hats, tau_true: float, gamma: float,

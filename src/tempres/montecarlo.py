@@ -17,9 +17,10 @@ vectorized pass (numpy's SeedSequence algorithm, `_stream_words`); each hash
 goes to numpy's PCG64, which seeds itself from it: the same numbers, without a
 SeedSequence object per draw.  Each cell is sampled whole: it takes its runs'
 rows from that stream, wherever the block edges fall, and walks its drift from
-run 0.  The no-offset rates of a cell are computed once (`detection_rates` is
-memoized); each drifted run takes its own.  Both come from the pulses' HG
-amplitudes.
+run 0.  Each draw's mean is a count: `detection_rates` gives a run's eight,
+mean_total_detections times the detected probability plus the dark rate.  The
+no-offset means of a cell are computed once (`detection_rates` is memoized);
+each drifted run takes its own.  Both come from the pulses' HG amplitudes.
 """
 
 import functools
@@ -33,6 +34,7 @@ from numpy.random import PCG64, Generator
 from .channels import (
     TAU_MAX,
     DeviceModel,
+    _plain_float,
     apply_device,
     check_gamma,
     hg_projection_probs,
@@ -101,6 +103,7 @@ class DriftSpec:
     recenter_period: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "std", _plain_float(self.std, "drift std"))
         if not 0 <= self.std < math.inf:
             raise ValueError(f"drift std must be finite and >= 0, got {self.std}")
         object.__setattr__(self, "recenter_period",
@@ -120,8 +123,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        object.__setattr__(self, "gammas", tuple(check_gamma(float(g)) for g in self.gammas))
+        object.__setattr__(self, "tau_grid", tuple(_plain_float(t, f"tau_grid[{i}]")
+                                                   for i, t in enumerate(self.tau_grid)))
+        object.__setattr__(self, "gammas", tuple(check_gamma(_plain_float(g, f"gammas[{i}]"))
+                                                 for i, g in enumerate(self.gammas)))
         outside = [t for t in self.tau_grid if not 0 <= t <= TAU_MAX]
         if outside:
             raise ValueError(f"tau_grid values must lie in [0, TAU_MAX = {TAU_MAX:g}], "
@@ -140,16 +145,14 @@ class ExperimentConfig:
             object.__setattr__(self, key, _plain_int(getattr(self, key), key))
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        object.__setattr__(self, "mean_total_detections",
+                           _plain_float(self.mean_total_detections, "mean_total_detections"))
         if not 0 < self.mean_total_detections <= MAX_POISSON_MEAN:
             raise ValueError(f"mean_total_detections must lie in (0, {MAX_POISSON_MEAN:g}], "
                              f"got {self.mean_total_detections}")
         if not self.device.dark_rate <= MAX_POISSON_MEAN:
             raise ValueError(f"dark_rate must be at most {MAX_POISSON_MEAN:g}, "
                              f"got {self.device.dark_rate}")
-        if not math.isfinite(self.device.dark_rate / self.mean_total_detections):
-            raise ValueError(f"dark_rate / mean_total_detections, the dark rate in the "
-                             f"sampler's per-detection rate units, must be finite, got "
-                             f"{self.device.dark_rate:g} / {self.mean_total_detections:g}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.drift is not None and not self.drift.std <= MAX_DRIFT_STD:
@@ -178,33 +181,34 @@ class DetectionRecord:
 
 
 def detection_rates(config: ExperimentConfig, tau: float, gamma: float,
-                    centroid_offset: float = 0.0):
-    """Expected per-projection detection rates (probability units) for one cell.
+                    centroid_offset: float = 0.0) -> np.ndarray:
+    """Mean counts per run of one cell's recorded projections: s0..s3, then a0..a3.
 
-    HG modes n < RATE_MODES per channel, from the pulses' coherent-state
-    amplitudes.  With no drift offset, their parity split (hg_projection_probs),
-    memoized per (device, dark rate, tau, gamma) and returned read-only;
-    otherwise both displaced pulses' amplitudes, since an offset breaks parity.
+    mean_total_detections times each projection's detected probability, plus
+    the device's dark_rate, as one read-only array.  The probabilities come
+    from the pulses' coherent-state amplitudes over HG modes n < RATE_MODES:
+    with no drift offset their parity split (hg_projection_probs), memoized
+    per (device, mean_total_detections, tau, gamma); otherwise both displaced
+    pulses' amplitudes, since an offset breaks parity.
     """
-    dark_norm = config.device.dark_rate / config.mean_total_detections
     if centroid_offset == 0.0:
-        return _no_offset_rates(config.device, dark_norm, tau, gamma)
+        return _no_offset_rates(config.device, config.mean_total_detections, tau, gamma)
     ideal_s, ideal_a = quadrature_projection_probs(RATE_MODES, tau, centroid_offset)
-    return _device_rates(ideal_s, ideal_a, config.device, dark_norm, gamma)
+    return _device_rates(ideal_s, ideal_a, config.device, config.mean_total_detections, gamma)
 
 
-def _device_rates(ideal_s, ideal_a, device, dark_norm, gamma):
-    mixed_s, mixed_a = mixed_projection_probs(ideal_s, ideal_a, gamma)
-    return apply_device(mixed_s, device, dark_norm), apply_device(mixed_a, device, dark_norm)
+def _device_rates(ideal_s, ideal_a, device, mean_total_detections, gamma):
+    detected = [apply_device(mixed, device)[:N_RECORDED]
+                for mixed in mixed_projection_probs(ideal_s, ideal_a, gamma)]
+    means = mean_total_detections * np.concatenate(detected) + device.dark_rate
+    means.flags.writeable = False
+    return means
 
 
 @functools.lru_cache(maxsize=1024)
-def _no_offset_rates(device, dark_norm, tau, gamma):
+def _no_offset_rates(device, mean_total_detections, tau, gamma):
     ideal_s, ideal_a = hg_projection_probs(RATE_MODES, tau)
-    rates = _device_rates(ideal_s, ideal_a, device, dark_norm, gamma)
-    for rate in rates:
-        rate.flags.writeable = False
-    return rates
+    return _device_rates(ideal_s, ideal_a, device, mean_total_detections, gamma)
 
 
 def _hashmix(value, hash_const, mult=_MULT_A):
@@ -352,15 +356,11 @@ def _sample_cell(config: ExperimentConfig, tau_index: int, gamma_index: int, row
     """
     tau = config.tau_grid[tau_index]
     gamma = config.gammas[gamma_index]
-    scale = config.mean_total_detections
     offsets = _drift_offsets(config, tau_index, gamma_index, config.repetitions)
     records = []
     for run, offset in enumerate(offsets):
-        rate_s, rate_a = detection_rates(config, tau, gamma, offset)
-        # Python float products round exactly as numpy's float64 ones do
-        means = [scale * rate for rate in rate_s[:N_RECORDED].tolist()
-                 + rate_a[:N_RECORDED].tolist()]
-        counts = [Generator(PCG64(_StreamWords(next(rows)))).poisson(mean) for mean in means]
+        counts = [Generator(PCG64(_StreamWords(next(rows)))).poisson(mean)
+                  for mean in detection_rates(config, tau, gamma, offset).tolist()]
         records.append(DetectionRecord(tau, gamma, run, tuple(counts[:N_RECORDED]),
                                        tuple(counts[N_RECORDED:])))
     return records

@@ -261,10 +261,10 @@ def sample_run(config, tau_index: int, gamma_index: int, run_index: int):
     """One run of the per-draw sampler: one default_rng(SeedSequence) per count
     and drift step, built from the spawn keys alone."""
     tau, gamma = config.tau_grid[tau_index], config.gammas[gamma_index]
-    rates = montecarlo.detection_rates(
+    means = montecarlo.detection_rates(
         config, tau, gamma, reference_offset(config, tau_index, gamma_index, run_index))
     counts = [tuple(int(reference_rng(config, 0, tau_index, gamma_index, run_index, ch, n)
-                        .poisson(config.mean_total_detections * rates[ch][n]))
+                        .poisson(means[ch * montecarlo.N_RECORDED + n]))
                     for n in range(montecarlo.N_RECORDED))
               for ch in range(2)]
     return montecarlo.DetectionRecord(tau, gamma, run_index, *counts)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,12 +173,14 @@ def test_apply_device_crosstalk_leak():
 
 
 def test_apply_device_rate_bound():
+    # the device maps probabilities only: the dark rate, in counts, stays out
     dev = DeviceModel(crosstalk_eps=0.05, efficiency=0.9, dark_rate=2.0)
-    dark_norm = dev.dark_rate / 1e4
     s, a = hg_projection_probs(MODE_CUTOFF, 1.0)
-    total = apply_device(s, dev, dark_norm).sum() + apply_device(a, dev, dark_norm).sum()
-    assert total <= dev.efficiency + 2 * len(s) * dark_norm + 1e-12
-    assert np.all(apply_device(s, dev, dark_norm) >= 0)
+    total = apply_device(s, dev).sum() + apply_device(a, dev).sum()
+    assert total <= dev.efficiency + 1e-12
+    assert np.all(apply_device(s, dev) >= 0)
+    np.testing.assert_array_equal(apply_device(s, dev),
+                                  apply_device(s, replace(dev, dark_rate=0.0)))
 
 
 def test_device_model_validation():
@@ -190,6 +193,16 @@ def test_device_model_validation():
     for dark_rate in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="dark_rate must be finite"):
             DeviceModel(dark_rate=dark_rate)
+    # each field is a real number: a bool or a string is not one
+    for key, value in (("efficiency", True), ("dark_rate", False), ("crosstalk_eps", False),
+                       ("dark_rate", "1"), ("efficiency", "0.9"), ("dark_rate", 1j),
+                       ("crosstalk_eps", None)):
+        with pytest.raises(ValueError, match=f"{key} must be a real number"):
+            DeviceModel(**{key: value})
+    # ints and numpy reals count, and are held as Python floats
+    dev = DeviceModel(crosstalk_eps=np.float32(0.5), efficiency=1, dark_rate=np.int64(2))
+    held = (dev.crosstalk_eps, dev.efficiency, dev.dark_rate)
+    assert held == (0.5, 1.0, 2.0) and {type(v) for v in held} == {float}
 
 
 @pytest.mark.parametrize("mode_cutoff", [4, 8, 64])

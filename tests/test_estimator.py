@@ -39,13 +39,9 @@ def noiseless_records(config, gamma, runs=1):
     """Records whose counts equal the model means exactly (rounded)."""
     records = []
     for tau in config.tau_grid:
-        rate_s, rate_a = detection_rates(config, tau, gamma)
-        n = config.mean_total_detections
+        counts = [int(round(m)) for m in detection_rates(config, tau, gamma)]
         for run in range(runs):
-            records.append(DetectionRecord(
-                tau, gamma, run,
-                tuple(int(round(n * r)) for r in rate_s[:4]),
-                tuple(int(round(n * r)) for r in rate_a[:4])))
+            records.append(DetectionRecord(tau, gamma, run, counts[:4], counts[4:]))
     return records
 
 
@@ -97,11 +93,8 @@ def test_calibration_noise_shrinks_with_repetitions():
 
 
 def test_estimate_noiseless_recovers_tau(config, noiseless_cal):
-    rate_s, rate_a = detection_rates(config, 0.4, 0.0)
-    n = config.mean_total_detections
-    record = DetectionRecord(0.4, 0.0, 0,
-                             tuple(int(round(n * r)) for r in rate_s[:4]),
-                             tuple(int(round(n * r)) for r in rate_a[:4]))
+    counts = [int(round(m)) for m in detection_rates(config, 0.4, 0.0)]
+    record = DetectionRecord(0.4, 0.0, 0, counts[:4], counts[4:])
     est = estimate_gls(record, noiseless_cal, config)
     assert not est.low_information
     assert est.tau_hat == pytest.approx(0.4, abs=1e-4)
@@ -237,9 +230,8 @@ def equivalence_calibrations():
 
 def model_counts(tau, noise):
     """Counts near the mean response at tau (beyond the scan for tau > 2)."""
-    rate_s, rate_a = detection_rates(EQUIVALENCE, tau, 0.0)
-    rates = np.concatenate([rate_s[:4], rate_a[:4]]) * (1.0 + np.asarray(noise))
-    return tuple(int(round(EQUIVALENCE.mean_total_detections * r)) for r in rates)
+    means = detection_rates(EQUIVALENCE, tau, 0.0) * (1.0 + np.asarray(noise))
+    return tuple(int(round(m)) for m in means)
 
 
 small_counts = st.one_of(
@@ -336,8 +328,7 @@ def test_estimate_in_counts_matches_the_normalized_reference_to_1e_11(name, tau,
     if name not in _scale_calibrations:
         _scale_calibrations[name] = calibrate(run_experiment(config), 0.25, config)
     cal = _scale_calibrations[name]
-    rate_s, rate_a = detection_rates(config, tau, 0.25)
-    means = config.mean_total_detections * np.concatenate([rate_s[:4], rate_a[:4]])
+    means = detection_rates(config, tau, 0.25)
     counts = [round(max(m + zk * math.sqrt(m), 0.0)) for m, zk in zip(means, z)]
     record = DetectionRecord(0.5, 0.25, 0, counts[:4], counts[4:])
     estimate = estimate_gls(record, cal, config)

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from oracles import reference_offset, sample_run
 from tempres import DeviceModel, DriftSpec, ExperimentConfig, montecarlo, run_experiment
-from tempres.channels import hg_projection_probs, quadrature_projection_probs
+from tempres.channels import (
+    apply_device,
+    hg_projection_probs,
+    mixed_projection_probs,
+    quadrature_projection_probs,
+)
 from tempres.estimator import CALIBRATION_SEED_OFFSET
 from tempres.montecarlo import (
     MAX_DRIFT_STD,
     N_RECORDED,
     RATE_MODES,
     DetectionRecord,
-    _device_rates,
     _drift_offsets,
     _seeded,
     _StreamWords,
@@ -70,16 +74,13 @@ def test_empirical_means_match_model():
     cfg = ExperimentConfig(tau_grid=(1.0,), gammas=(0.0,), repetitions=1000,
                            mean_total_detections=1e4, master_seed=5)
     records = run_experiment(cfg)
-    rate_s, rate_a = detection_rates(cfg, 1.0, 0.0)
-    for channel, rates in (("s", rate_s), ("a", rate_a)):
-        counts = np.array([getattr(r, f"counts_{channel}") for r in records])
-        for n in range(4):
-            mean_rate = rates[n] * cfg.mean_total_detections
-            se = max(np.sqrt(mean_rate / len(records)), 1e-9)
-            if mean_rate < 1e-6:
-                assert counts[:, n].sum() == 0
-            else:
-                assert abs(counts[:, n].mean() - mean_rate) < 4 * se
+    counts = np.array([(*r.counts_s, *r.counts_a) for r in records])
+    for k, mean in enumerate(detection_rates(cfg, 1.0, 0.0)):
+        se = max(np.sqrt(mean / len(records)), 1e-9)
+        if mean < 1e-6:
+            assert counts[:, k].sum() == 0
+        else:
+            assert abs(counts[:, k].mean() - mean) < 4 * se
 
 
 def test_channel_symmetry_at_gamma_half():
@@ -143,12 +144,23 @@ def test_config_validation():
         ExperimentConfig(mean_total_detections=0.0)
     with pytest.raises(ValueError):
         DriftSpec(std=-1.0)
-    # the sampler's rates carry dark_rate / mean_total_detections: 1e309 is inf,
-    # and any finite ratio holds, up to near float's largest
-    with pytest.raises(ValueError, match="dark_rate / mean_total_detections"):
-        ExperimentConfig(mean_total_detections=1e-300, device=DeviceModel(dark_rate=1e9))
-    for n_total, dark_rate in ((1e-300, 1.7e8), (0.5e-150, 1.0), (1e-140, 1e11), (5e-324, 0.0)):
+    # the sampler works in counts: a dark rate sets no bound on mean_total_detections
+    for n_total, dark_rate in ((1e-300, 1.7e8), (0.5e-150, 1.0), (1e-140, 1e11), (5e-324, 0.0),
+                               (5e-324, 1.0), (1e-300, 1e9), (1e-300, 1e18)):
         ExperimentConfig(mean_total_detections=n_total, device=DeviceModel(dark_rate=dark_rate))
+    # float fields and grid values are real numbers: a bool or a string is not one
+    for kwargs, key in (({"mean_total_detections": True}, "mean_total_detections"),
+                        ({"mean_total_detections": "1e4"}, "mean_total_detections"),
+                        ({"mean_total_detections": 1e4 + 0j}, "mean_total_detections"),
+                        ({"tau_grid": ("0", 0.5)}, r"tau_grid\[0\]"),
+                        ({"tau_grid": (0.0, 0.5, True)}, r"tau_grid\[2\]"),
+                        ({"gammas": (False, 0.25)}, r"gammas\[0\]"),
+                        ({"gammas": (0.0, "0.25")}, r"gammas\[1\]")):
+        with pytest.raises(ValueError, match=f"{key} must be a real number"):
+            ExperimentConfig(**kwargs)
+    for std in (True, "0.1", None):
+        with pytest.raises(ValueError, match="drift std must be a real number"):
+            DriftSpec(std=std)
     # run counts and seeds are integers: range() would reject a float only
     # once sampling began, and a float seed would hash as its integer part
     for key, value in (("repetitions", 2.5), ("repetitions", True), ("repetitions", "3"),
@@ -164,6 +176,11 @@ def test_config_validation():
                            drift=DriftSpec(0.1, recenter_period=3.0))
     held = (cfg.repetitions, cfg.master_seed, cfg.drift.recenter_period)
     assert held == (2, 2**63, 3) and {type(v) for v in held} == {int}
+    # ints and numpy reals count as floats, and are held as Python floats
+    cfg = ExperimentConfig(tau_grid=(0, np.float32(0.5)), gammas=(np.int64(0), Fraction(1, 4)),
+                           mean_total_detections=np.int64(100), drift=DriftSpec(np.float16(0.5)))
+    held = (*cfg.tau_grid, *cfg.gammas, cfg.mean_total_detections, cfg.drift.std)
+    assert held == (0.0, 0.5, 0.0, 0.25, 100.0, 0.5) and {type(v) for v in held} == {float}
 
 
 @pytest.mark.parametrize("counts", [
@@ -187,50 +204,93 @@ def test_detection_record_rejects_other_counts(counts, error):
 
 
 def test_device_enters_rates():
-    cfg = small_config(device=DeviceModel(crosstalk_eps=0.02, efficiency=0.5))
-    rate_s, _ = detection_rates(cfg, 0.0, 0.0)
-    # HG_0 leaks into HG_1 and efficiency halves everything
-    assert rate_s[1] == pytest.approx(0.5 * 0.01, rel=1e-12)
-    assert rate_s[0] == pytest.approx(0.5 * 0.99, rel=1e-12)
+    cfg = small_config(device=DeviceModel(crosstalk_eps=0.02, efficiency=0.5, dark_rate=3.0))
+    means = detection_rates(cfg, 0.0, 0.0)
+    # HG_0 leaks into HG_1, efficiency halves the signal, and the dark rate adds
+    # its counts to every projection, unscaled
+    assert means[1] == pytest.approx(1e4 * 0.5 * 0.01 + 3.0, rel=1e-12)
+    assert means[0] == pytest.approx(1e4 * 0.5 * 0.99 + 3.0, rel=1e-12)
+    np.testing.assert_array_equal(means[[2, 3, 4, 5, 6, 7]], 3.0)
 
 
 def test_detection_rates_are_read_only_and_repeatable():
     cfg = small_config(device=DeviceModel(crosstalk_eps=0.02, dark_rate=1.0))
-    first = detection_rates(cfg, 0.5, 0.25)
-    for rates in first:
+    for offset in (0.0, 0.1):   # the memoized path and the drifted one
+        first = detection_rates(cfg, 0.5, 0.25, offset)
+        assert first.shape == (2 * N_RECORDED,)
         with pytest.raises(ValueError):
-            rates[0] = 1.0
-    again = detection_rates(cfg, 0.5, 0.25)
-    for a, b in zip(first, again):
-        np.testing.assert_array_equal(a, b)
+            first[0] = 1.0
+        np.testing.assert_array_equal(first, detection_rates(cfg, 0.5, 0.25, offset))
+
+
+def detected_probs(probs, device, gamma):
+    """Each channel's detected probabilities, every mode of probs."""
+    return [apply_device(mixed, device) for mixed in mixed_projection_probs(*probs, gamma)]
+
+
+def recorded_means(detected, config):
+    return (config.mean_total_detections
+            * np.concatenate([d[:N_RECORDED] for d in detected]) + config.device.dark_rate)
 
 
 def test_recorded_rates_do_not_depend_on_modes_past_rate_modes():
     # crosstalk moves rate one mode index at a time, so mode RATE_MODES and above
     # never reach a recorded projection: more modes give the same recorded rates.
-    # No rate is negative, on either path, at any cutoff.
+    # No detected probability is negative, on either path, at any cutoff.
     device = DeviceModel(crosstalk_eps=0.05, efficiency=0.9, dark_rate=1.0)
     cfg = small_config(device=device)
-    dark_norm = device.dark_rate / cfg.mean_total_detections
     for tau in np.linspace(0.0, 4.0, 17):
         for gamma in (0.0, 0.125, 0.25, 0.375, 0.5):
-            recorded = [r[:N_RECORDED] for r in detection_rates(cfg, tau, gamma)]
+            recorded = detected_probs(hg_projection_probs(RATE_MODES, tau), device, gamma)
+            np.testing.assert_array_equal(detection_rates(cfg, tau, gamma),
+                                          recorded_means(recorded, cfg))
             for modes in (8, 16, 64):
-                wide = _device_rates(*hg_projection_probs(modes, tau), device, dark_norm, gamma)
+                wide = detected_probs(hg_projection_probs(modes, tau), device, gamma)
                 for got, want in zip(recorded, wide):
-                    np.testing.assert_array_equal(got, want[:N_RECORDED])
+                    np.testing.assert_array_equal(got[:N_RECORDED], want[:N_RECORDED])
                     assert np.all(want >= 0)
             for offset in (-0.3, -0.1, -0.01, 0.01, 0.1, 0.3):   # 0 takes the closed form
-                recorded = [r[:N_RECORDED] for r in detection_rates(cfg, tau, gamma, offset)]
+                probs = quadrature_projection_probs(RATE_MODES, tau, offset)
+                recorded = detected_probs(probs, device, gamma)
+                np.testing.assert_array_equal(detection_rates(cfg, tau, gamma, offset),
+                                              recorded_means(recorded, cfg))
                 for modes in (8, 16, 64):
-                    wide = _device_rates(*quadrature_projection_probs(modes, tau, offset),
-                                         device, dark_norm, gamma)
+                    wide = detected_probs(quadrature_projection_probs(modes, tau, offset),
+                                          device, gamma)
                     for got, want in zip(recorded, wide):
-                        np.testing.assert_allclose(got, want[:N_RECORDED], rtol=0, atol=1e-17)
+                        np.testing.assert_allclose(got[:N_RECORDED], want[:N_RECORDED],
+                                                   rtol=0, atol=1e-17)
                         assert np.all(want >= 0)
     # one mode fewer drops mode N_RECORDED's leak into the last recorded projection
-    short = _device_rates(*hg_projection_probs(RATE_MODES - 1, 2.0), device, dark_norm, 0.0)
-    assert short[0][N_RECORDED - 1] < detection_rates(cfg, 2.0, 0.0)[0][N_RECORDED - 1]
+    short = recorded_means(detected_probs(hg_projection_probs(RATE_MODES - 1, 2.0), device, 0.0),
+                           cfg)
+    assert short[N_RECORDED - 1] < detection_rates(cfg, 2.0, 0.0)[N_RECORDED - 1]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(crosstalk_eps=st.floats(0.0, 0.1), efficiency=st.floats(0.5, 1.0),
+       dark_rate=st.one_of(st.just(0.0), st.floats(1e-200, 5.0), st.floats(1e-200, 1e18)),
+       tau=st.floats(0.0, 4.0), gamma=st.floats(0.0, 0.5),
+       offset=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       mean_total_detections=st.sampled_from([1e2, 1e4, 1e18]))
+def test_detection_rates_are_counts(crosstalk_eps, efficiency, dark_rate, tau, gamma, offset,
+                                    mean_total_detections):
+    # N times the per-detection rates with the dark rate spread over N: bit for bit
+    # without a dark rate, within 2 ulp with one, where the two forms round apart.
+    # A dark rate of 1e-200 keeps dark_rate / N normal, where the oracle holds its bits
+    device = DeviceModel(crosstalk_eps=crosstalk_eps, efficiency=efficiency,
+                         dark_rate=dark_rate)
+    cfg = small_config(mean_total_detections=mean_total_detections, device=device)
+    n = mean_total_detections
+    probs = (quadrature_projection_probs(RATE_MODES, tau, offset) if offset
+             else hg_projection_probs(RATE_MODES, tau))
+    oracle = np.concatenate([(n * (rate + dark_rate / n))[:N_RECORDED]
+                             for rate in detected_probs(probs, device, gamma)])
+    means = detection_rates(cfg, tau, gamma, offset)
+    if dark_rate == 0.0:
+        np.testing.assert_array_equal(means, oracle)
+    else:
+        assert np.all(np.abs(means - oracle) <= 2 * np.spacing(np.maximum(means, oracle)))
 
 
 MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, CALIBRATION_SEED_OFFSET + 7, 3**200]
