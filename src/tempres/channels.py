@@ -23,7 +23,10 @@ def _plain_float(value, name: str) -> float:
     """value as a Python float; an int or a numpy real counts, a bool or a string does not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:   # an int past float range
+        raise ValueError(f"{name} = {value} is too large for a float") from None
 
 
 def check_gamma(gamma: float) -> float:

@@ -56,31 +56,6 @@ def _merge(defaults, data, path):
     return merged
 
 
-def _integer(value, key):
-    """A JSON integer; an integral float such as 3.0 also counts."""
-    try:
-        return _plain_int(value, key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _number(value, key):
-    """A JSON number; a boolean or a string is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} = {value} is too large for a float") from None
-
-
-def _numbers(values, key):
-    """A JSON array of numbers, as a tuple of floats."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be an array of numbers, got {values!r}")
-    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
-
-
 def _check_runs(experiment: ExperimentConfig, repetitions: int, key: str):
     # reproduce runs the five default gammas whatever the config lists
     cells = len(experiment.tau_grid) * max(len(experiment.gammas), len(DEFAULT_GAMMAS))
@@ -90,35 +65,42 @@ def _check_runs(experiment: ExperimentConfig, repetitions: int, key: str):
 
 
 def from_dict(data: dict) -> RunConfig:
+    """The RunConfig of a parsed JSON object; a bad key or value raises ConfigError.
+
+    Each value is checked by the dataclass that holds it, and its message is
+    passed on, prefixed with "device." for a device key.
+    """
     merged = _merge(DEFAULTS, data, "")
-    try:
-        drift = None
-        if merged["drift"] is not None:
-            drift_merged = _merge(_DRIFT_DEFAULTS, merged["drift"], "drift.")
-            drift = DriftSpec(std=_number(drift_merged["std"], "drift std"),
-                              recenter_period=_integer(drift_merged["recenter_period"],
-                                                       "drift.recenter_period"))
-            merged["drift"] = drift_merged
-        experiment = ExperimentConfig(
-            tau_grid=_numbers(merged["tau_grid"], "tau_grid"),
-            gammas=_numbers(merged["gammas"], "gammas"),
-            repetitions=_integer(merged["repetitions"], "repetitions"),
-            mean_total_detections=_number(merged["mean_total_detections"],
-                                          "mean_total_detections"),
-            device=DeviceModel(**{key: _number(value, f"device.{key}")
-                                  for key, value in merged["device"].items()}),
-            drift=drift,
-            master_seed=_integer(merged["master_seed"], "master_seed"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    if merged["drift"] is not None:
+        merged["drift"] = _merge(_DRIFT_DEFAULTS, merged["drift"], "drift.")
+    for key in ("tau_grid", "gammas"):
+        # ExperimentConfig takes any iterable, and would read a string by characters
+        if not isinstance(merged[key], list):
+            raise ConfigError(f"{key} must be an array of numbers, got {merged[key]!r}")
     cal = merged["calibration"]
     if not isinstance(cal["reuse_records"], bool):
         raise ConfigError(f"calibration.reuse_records must be true or false, "
                           f"got {cal['reuse_records']!r}")
-    cal_reps = cal["repetitions"]
+    try:
+        device = DeviceModel(**merged["device"])
+    except ValueError as exc:
+        raise ConfigError(f"device.{exc}") from exc
+    try:
+        experiment = ExperimentConfig(
+            tau_grid=merged["tau_grid"],
+            gammas=merged["gammas"],
+            repetitions=merged["repetitions"],
+            mean_total_detections=merged["mean_total_detections"],
+            device=device,
+            drift=None if merged["drift"] is None else DriftSpec(**merged["drift"]),
+            master_seed=merged["master_seed"],
+        )
+        cal_reps = cal["repetitions"]
+        if cal_reps is not None:
+            cal_reps = _plain_int(cal_reps, "calibration.repetitions")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cal_reps is not None:
-        cal_reps = _integer(cal_reps, "calibration.repetitions")
         if cal_reps < 1:
             raise ConfigError(f"calibration.repetitions must be >= 1, got {cal_reps}")
         _check_runs(experiment, cal_reps, "calibration.repetitions")
@@ -147,6 +129,8 @@ def load(path: str | None) -> RunConfig:
                           f"is 0x{exc.object[exc.start]:02x}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:   # an integer past Python's limit on digits read from text
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         return from_dict(data)
     except ConfigError as exc:

@@ -25,6 +25,7 @@ each drifted run takes its own.  Both come from the pulses' HG amplitudes.
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -107,9 +108,9 @@ class DriftSpec:
         if not 0 <= self.std < math.inf:
             raise ValueError(f"drift std must be finite and >= 0, got {self.std}")
         object.__setattr__(self, "recenter_period",
-                           _plain_int(self.recenter_period, "recenter_period"))
+                           _plain_int(self.recenter_period, "drift recenter_period"))
         if self.recenter_period < 1:
-            raise ValueError(f"recenter period must be >= 1, got {self.recenter_period}")
+            raise ValueError(f"drift recenter_period must be >= 1, got {self.recenter_period}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class ExperimentConfig:
             raise ValueError(f"mean_total_detections must lie in (0, {MAX_POISSON_MEAN:g}], "
                              f"got {self.mean_total_detections}")
         if not self.device.dark_rate <= MAX_POISSON_MEAN:
-            raise ValueError(f"dark_rate must be at most {MAX_POISSON_MEAN:g}, "
+            raise ValueError(f"device.dark_rate must be at most {MAX_POISSON_MEAN:g}, "
                              f"got {self.device.dark_rate}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -176,7 +177,8 @@ class DetectionRecord:
         # plain ints, as the sampler and read_records make them, need only the sign test
         if set(map(type, counts)) == {int} and min(counts) >= 0:
             return
-        if any(c < 0 or int(c) != c for c in counts):
+        if not all(isinstance(c, numbers.Real) and 0 <= c < math.inf and int(c) == c
+                   for c in counts):
             raise ValueError("counts must be nonnegative integers")
 
 

@@ -199,6 +199,10 @@ def test_device_model_validation():
                        ("crosstalk_eps", None)):
         with pytest.raises(ValueError, match=f"{key} must be a real number"):
             DeviceModel(**{key: value})
+    # nor is an int past float range
+    for key in ("crosstalk_eps", "efficiency", "dark_rate"):
+        with pytest.raises(ValueError, match=f"{key} = 10+ is too large for a float"):
+            DeviceModel(**{key: 10**400})
     # ints and numpy reals count, and are held as Python floats
     dev = DeviceModel(crosstalk_eps=np.float32(0.5), efficiency=1, dark_rate=np.int64(2))
     held = (dev.crosstalk_eps, dev.efficiency, dev.dark_rate)

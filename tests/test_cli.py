@@ -136,6 +136,10 @@ BAD_CONFIGS = {
     "huge-int-mean_total_detections": ({"mean_total_detections": 10**400},
                                        "mean_total_detections"),
     "bool-drift-std": ({"drift": {"std": True}}, "drift std"),
+    # DeviceModel reports an integer past float range, and the config names its section
+    "huge-int-dark_rate": ({"device": {"dark_rate": 10**400}}, "device.dark_rate"),
+    # json refuses an integer of more digits than Python reads from text
+    "5000-digit-int": ('{"master_seed": 1' + "0" * 4999 + "}", "5000 digits"),
     "bool-efficiency": ({"device": {"efficiency": True}}, "device.efficiency"),
     "null-reuse_records": ({"calibration": {"reuse_records": None}}, "reuse_records"),
     # an empty grid has no cells to run

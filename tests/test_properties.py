@@ -1,6 +1,7 @@
-"""Property tests: malformed configs exit 2, records.csv round-trips the counts,
-read_records agrees with a row-by-row reference parser, and the drifted
-projections are a distribution even in the offset.
+"""Property tests: malformed configs exit 2, the config path checks each value as
+the library path does, records.csv round-trips the counts, read_records agrees
+with a row-by-row reference parser, and the drifted projections are a
+distribution even in the offset.
 
 derandomize=True fixes the examples, so the suite stays deterministic.
 """
@@ -12,12 +13,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempres import DetectionRecord, ExperimentConfig, run_experiment
+from tempres import DetectionRecord, DeviceModel, DriftSpec, ExperimentConfig, run_experiment
 from tempres.channels import hg_projection_probs, quadrature_projection_probs
 from tempres.cli import EXIT_MISMATCH, RECORDS_HEADER, CliError, fmt, main, read_records
+from tempres.config import ConfigError, from_dict
+from tempres.montecarlo import DEFAULT_GAMMAS, MAX_RUNS
 
 # a valid base that reproduce runs in well under a second
 BASE = {"tau_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "repetitions": 1}
@@ -25,7 +28,7 @@ BASE = {"tau_grid": [0.0, 0.25, 0.5, 0.75, 1.0], "repetitions": 1}
 junk = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 12),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0, -1, 5e-324, 1e-300, 1e300, 1e400, "nan", "inf", "-1", "x",
+    st.sampled_from([0, -1, 5e-324, 1e-300, 1e300, 1e400, 10**400, "nan", "inf", "-1", "x",
                      [], {}, [0.5], {"std": 0.1}]),
 )
 
@@ -79,6 +82,47 @@ def test_malformed_config_exits_0_or_2(changes):
         path.write_text(json.dumps({**BASE, **changes}))
         code = main(["reproduce", "fig2", "--config", str(path), "--out", tmp])
     assert code in (0, 2)
+
+
+# each numeric config key (calibration.repetitions is no dataclass field): the
+# config that sets it to a value, and the ExperimentConfig that holds that value
+NUMERIC_KEYS = {
+    "tau_grid[0]": (lambda v: {"tau_grid": [v]}, lambda v: ExperimentConfig(tau_grid=(v,))),
+    "gammas[0]": (lambda v: {"gammas": [v]}, lambda v: ExperimentConfig(gammas=(v,))),
+    "repetitions": (lambda v: {"repetitions": v}, lambda v: ExperimentConfig(repetitions=v)),
+    "mean_total_detections": (lambda v: {"mean_total_detections": v},
+                              lambda v: ExperimentConfig(mean_total_detections=v)),
+    "master_seed": (lambda v: {"master_seed": v}, lambda v: ExperimentConfig(master_seed=v)),
+    **{f"device.{key}": (lambda v, key=key: {"device": {key: v}},
+                         lambda v, key=key: ExperimentConfig(device=DeviceModel(**{key: v})))
+       for key in ("crosstalk_eps", "efficiency", "dark_rate")},
+    "drift.std": (lambda v: {"drift": {"std": v}},
+                  lambda v: ExperimentConfig(drift=DriftSpec(std=v))),
+    "drift.recenter_period": (lambda v: {"drift": {"recenter_period": v}},
+                              lambda v: ExperimentConfig(drift=DriftSpec(0.0, v))),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(NUMERIC_KEYS)), value=junk)
+@example(key="device.dark_rate", value=10**400)
+@example(key="drift.std", value=10**400)
+@example(key="tau_grid[0]", value=10**400)
+def test_config_checks_a_value_as_the_dataclass_that_holds_it(key, value):
+    config, dataclass = NUMERIC_KEYS[key]
+    try:
+        expected = dataclass(value)
+    except ValueError:
+        expected = None
+    else:
+        # from_dict also refuses a table of more than MAX_RUNS runs
+        if expected.repetitions * len(expected.tau_grid) * len(DEFAULT_GAMMAS) > MAX_RUNS:
+            expected = None
+    try:
+        got = from_dict(config(value)).experiment
+    except ConfigError:
+        got = None
+    assert got == expected
 
 
 grids = st.fixed_dictionaries({
